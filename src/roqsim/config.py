@@ -1,6 +1,8 @@
 """Run configuration: typed dataclasses with JSON load and validation."""
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -8,6 +10,10 @@ DEFENSE_NONE = "none"
 DEFENSE_MLDA = "mlda"
 DEFENSE_SHREW = "shrew"
 DEFENSES = (DEFENSE_NONE, DEFENSE_MLDA, DEFENSE_SHREW)
+
+# packet spacing is whole microseconds: a faster source would put every
+# arrival at one instant and the run would never advance
+MAX_RATE_PPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -87,6 +93,8 @@ class RunConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
 
     def validate(self):
+        _check_finite("duration_s", self.duration_s)
+        _check_finite("warmup_s", self.warmup_s)
         if self.duration_s <= 0:
             raise ConfigError("duration_s must be positive")
         if self.warmup_s < 0 or self.warmup_s >= self.duration_s:
@@ -95,10 +103,12 @@ class RunConfig:
             raise ConfigError("defense must be one of %s" % (DEFENSES,))
         if self.legit.count < 1:
             raise ConfigError("need at least one legitimate flow")
+        _check_rate("legit.app_rate_pps", self.legit.app_rate_pps)
         if self.legit.app_rate_pps < 0:
             raise ConfigError("legit.app_rate_pps must be >= 0 (0 = greedy)")
         if self.attack.count < 0:
             raise ConfigError("attack.count must be >= 0")
+        _check_rate("attack.rate_pps", self.attack.rate_pps)
         if self.attack.period_s < 0:
             raise ConfigError("attack.period_s must be >= 0 (0 disables the attack)")
         if self.attack.period_s > 0 and self.attack.burst_s >= self.attack.period_s:
@@ -145,6 +155,20 @@ class RunConfig:
                 raise ConfigError("unknown config field %r" % k)
             setattr(other, k, v)
         return other.validate()
+
+
+def _check_finite(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError("%s must be a finite number, got %r" % (name, value))
+
+
+def _check_rate(name, value):
+    # an integer rate keeps packet spacings, and so every event time, integral
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    if value > MAX_RATE_PPS:
+        raise ConfigError("%s must be at most %d (one packet per microsecond)"
+                          % (name, MAX_RATE_PPS))
 
 
 _SECTIONS = {

@@ -35,7 +35,12 @@ RETRANS_FLOOR = 3.0
 
 
 def attack_free(config):
-    """Same network with the attack disabled and no defense active."""
+    """Same network with the attack disabled and no defense active.
+
+    A config that already is attack-free comes back as it is, not copied.
+    """
+    if config.defense == DEFENSE_NONE and config.attack.period_s == 0.0:
+        return config
     d = config.to_dict()
     d["defense"] = DEFENSE_NONE
     d["attack"]["period_s"] = 0.0

@@ -5,8 +5,9 @@ exact and runs replay bit-for-bit.  Events with equal fire times dispatch in
 insertion order (monotone sequence number breaks ties).
 """
 
-import heapq
+import itertools
 import random
+from heapq import heappop, heappush
 
 US_PER_S = 1_000_000
 
@@ -56,21 +57,26 @@ class RandomSource:
         return self._rng.uniform(lo, hi)
 
 
-class EventHandle:
-    """Scheduled callback; cancel() guarantees it will never fire."""
+class EventHandle(list):
+    """Scheduled callback, and its own heap entry: [fire_us, seq, fn, kind, detail].
 
-    __slots__ = ("fire_us", "seq", "kind", "fn", "detail", "cancelled")
+    Entries order by (fire_us, seq); seq is unique, so the comparison never
+    reaches fn.  cancel() clears fn, which guarantees the event never fires;
+    the entry stays in the heap until its time comes and is skipped then.
+    """
 
-    def __init__(self, fire_us, seq, kind, fn, detail):
-        self.fire_us = fire_us
-        self.seq = seq
-        self.kind = kind
-        self.fn = fn
-        self.detail = detail
-        self.cancelled = False
+    __slots__ = ()
+
+    @property
+    def fire_us(self):
+        return self[0]
+
+    @property
+    def cancelled(self):
+        return self[2] is None
 
     def cancel(self):
-        self.cancelled = True
+        self[2] = None
 
 
 class Simulator:
@@ -80,9 +86,9 @@ class Simulator:
         self.now_us = 0
         self.rng = RandomSource(seed)
         self._heap = []
-        self._next_seq = 0
+        self._seqs = itertools.count()
         self._cur_seq = -1
-        self._trace = trace  # file-like object or None
+        self.trace = trace  # file-like object or None
         self.dispatched = 0
 
     def schedule(self, fire_us, kind, fn, detail=""):
@@ -95,9 +101,8 @@ class Simulator:
                 "schedule into the past: t=%s < now=%s (%s)"
                 % (fmt_time(fire_us), fmt_time(self.now_us), kind)
             )
-        h = EventHandle(fire_us, self._next_seq, kind, fn, detail)
-        self._next_seq += 1
-        heapq.heappush(self._heap, (fire_us, h.seq, h))
+        h = EventHandle((fire_us, next(self._seqs), fn, kind, detail))
+        heappush(self._heap, h)
         return h
 
     def schedule_in(self, delay_us, kind, fn, detail=""):
@@ -108,17 +113,19 @@ class Simulator:
         if end_us < self.now_us:
             raise ValueError("run_until into the past")
         heap = self._heap
-        trace = self._trace
+        trace = self.trace
         count = 0
         while heap and heap[0][0] <= end_us:
-            fire_us, seq, h = heapq.heappop(heap)
-            if h.cancelled:
+            fire_us, seq, fn, kind, detail = heappop(heap)
+            if fn is None:
                 continue
             self.now_us = fire_us
-            self._cur_seq = seq
             if trace is not None:
-                trace.write("%s\t%d\t%s\t%s\n" % (fmt_time(fire_us), seq, h.kind, h.detail))
-            h.fn()
+                self._cur_seq = seq  # only trace_line reads it
+                # fmt_time inlined: one format per dispatched event
+                trace.write("%d.%06d\t%d\t%s\t%s\n"
+                            % (fire_us // US_PER_S, fire_us % US_PER_S, seq, kind, detail))
+            fn()
             count += 1
         self.now_us = end_us
         self.dispatched += count
@@ -126,7 +133,7 @@ class Simulator:
 
     def trace_line(self, kind, detail):
         """Emit an extra trace line attributed to the current dispatch."""
-        if self._trace is not None:
-            self._trace.write(
+        if self.trace is not None:
+            self.trace.write(
                 "%s\t%d\t%s\t%s\n" % (fmt_time(self.now_us), self._cur_seq, kind, detail)
             )

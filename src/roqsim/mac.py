@@ -172,9 +172,9 @@ class Medium:
     def __init__(self, sim):
         self.sim = sim
         self.stations = {}
-        self._order = []  # node ids in registration order (deterministic)
+        self._order = []  # stations in registration order: reception order
+        self._by_id = []  # stations by node id: busy/idle notification order
         self._active = []
-        self._listeners = set()  # node ids currently contending
         self.last_tx_start = -1
         self.on_clean_frame = None  # monitor tap: fn(frame, now_us)
 
@@ -182,13 +182,8 @@ class Medium:
         if station.node_id in self.stations:
             raise ValueError("duplicate node id %d" % station.node_id)
         self.stations[station.node_id] = station
-        self._order.append(station.node_id)
-
-    def listen(self, node_id):
-        self._listeners.add(node_id)
-
-    def unlisten(self, node_id):
-        self._listeners.discard(node_id)
+        self._order.append(station)
+        self._by_id = sorted(self._order, key=lambda st: st.node_id)
 
     def busy(self):
         return bool(self._active)
@@ -205,37 +200,65 @@ class Medium:
 
     def transmit(self, src_id, frame, air_us):
         now = self.sim.now_us
+        active = self._active
         rec = [frame, src_id, False]
-        if self._active:
-            for r in self._active:
+        if active:
+            for r in active:
                 r[2] = True
             rec[2] = True
-        was_idle = not self._active
-        self._active.append(rec)
+        active.append(rec)
         self.last_tx_start = now
         self.sim.schedule(now + air_us, "frame_end", lambda r=rec: self._end(r))
-        if was_idle and self._listeners:
-            for nid in sorted(self._listeners):
-                self.stations[nid].on_medium_busy(now)
+        if len(active) == 1:
+            # the medium just turned busy: contending stations freeze
+            for st in self._by_id:
+                if st.state is CONTEND:
+                    st.on_medium_busy(now)
 
     def _end(self, rec):
-        self._active.remove(rec)
+        active = self._active
+        active.remove(rec)
         frame, src_id, corrupted = rec
-        now = self.sim.now_us
+        sim = self.sim
+        now = sim.now_us
         if not corrupted:
             if self.on_clean_frame is not None:
                 self.on_clean_frame(frame, now)
-            self.sim.trace_line(
-                "frame",
-                "%s src=%d dst=%d cb=%s seq=%d"
-                % (frame.kind, frame.src, frame.dst, frame.cb, frame.seq_no),
-            )
-            for nid in self._order:
-                if nid != src_id:
-                    self.stations[nid].receive(frame, now)
-        if not self._active and self._listeners:
-            for nid in sorted(self._listeners):
-                self.stations[nid].on_medium_idle(now)
+            kind = frame.kind
+            dst = frame.dst
+            if sim.trace is not None:
+                sim.trace_line(
+                    "frame",
+                    "%s src=%d dst=%d cb=%s seq=%d"
+                    % (kind, frame.src, dst, frame.cb, frame.seq_no),
+                )
+            handshake = kind == RTS or kind == CTS
+            nav = now + frame.duration_us if frame.duration_us > 0 else 0
+            # Overheard frames only count, extend the NAV and, after an RTS,
+            # arm the NAV release; the addressee handles its frame in receive().
+            # Stations go in registration order, so events keep their seq order.
+            for st in self._order:
+                node = st.node_id
+                if node == src_id:
+                    continue
+                if node == dst:
+                    st.receive(frame, now)
+                elif not st.disabled:
+                    if handshake:
+                        st.counters.rts_cts += 1
+                    if nav:
+                        if nav > st.nav_until:
+                            st.nav_until = nav
+                        if kind == RTS:
+                            sim.schedule(
+                                now + st.phy.nav_reset_us,
+                                "nav_reset_check",
+                                lambda st=st, t=now: st._nav_reset_check(t),
+                            )
+        if not active:
+            for st in self._by_id:
+                if st.state is CONTEND:
+                    st.resume_contention(now)
 
 
 class Station:
@@ -338,19 +361,20 @@ class Station:
     def _enter_contend(self, now):
         self.state = CONTEND
         self._frozen_since = None
-        self.medium.listen(self.node_id)
-        self._resume_contention(now)
+        self.resume_contention(now)
 
     def _leave_contend(self):
-        self.medium.unlisten(self.node_id)
         for h in (self._attempt_h, self._start_h, self._nav_h):
             if h is not None:
                 h.cancel()
         self._attempt_h = self._start_h = self._nav_h = None
         self._counting = False
 
-    def _resume_contention(self, now):
-        if self.medium.busy():
+    def resume_contention(self, now):
+        """Contend from now on: freeze while the medium or the NAV is busy, else
+        count DIFS then the remaining backoff.  The medium calls this for every
+        contending station when it turns idle."""
+        if self.medium._active:
             if self._frozen_since is None:
                 self._frozen_since = now
             return
@@ -370,7 +394,7 @@ class Station:
     def _on_nav_wake(self):
         self._nav_h = None
         if self.state == CONTEND:
-            self._resume_contention(self.sim.now_us)
+            self.resume_contention(self.sim.now_us)
 
     def _on_count_start(self):
         self._start_h = None
@@ -385,9 +409,7 @@ class Station:
             )
 
     def on_medium_busy(self, now):
-        # called only while registered as a contention listener
-        if self.disabled:
-            return
+        # called only while contending (a disabled station never contends)
         if self._counting:
             elapsed = now - self._count_start
             self.backoff_rem -= min(self.backoff_rem, elapsed // self.phy.slot_us)
@@ -402,10 +424,6 @@ class Station:
             self._start_h = None
         if self._frozen_since is None:
             self._frozen_since = now
-
-    def on_medium_idle(self, now):
-        if self.state == CONTEND and not self.disabled:
-            self._resume_contention(now)
 
     def checkpoint_freeze(self, now):
         """Fold any in-progress freeze into the counters (interval boundary)."""
@@ -520,24 +538,12 @@ class Station:
     # -- reception ---------------------------------------------------------
 
     def receive(self, frame, now):
+        """A clean frame addressed to this station (Medium._end handles overheard ones)."""
         if self.disabled:
             return
         kind = frame.kind
         if kind == RTS or kind == CTS:
             self.counters.rts_cts += 1
-        if frame.dst != self.node_id:
-            if frame.duration_us > 0:
-                nav = now + frame.duration_us
-                if nav > self.nav_until:
-                    self.nav_until = nav
-                if kind == RTS:
-                    # release the reservation if the handshake dies (no CTS)
-                    self.sim.schedule(
-                        now + self.phy.nav_reset_us,
-                        "nav_reset_check",
-                        lambda t=now: self._nav_reset_check(t),
-                    )
-            return
         if kind == RTS:
             if self.blocklist is not None and frame.src in self.blocklist:
                 return
@@ -585,12 +591,13 @@ class Station:
                 self._exchange_success()
 
     def _nav_reset_check(self, rts_end_us):
+        """Release the NAV an overheard RTS set if its handshake died (no CTS)."""
         if self.medium.last_tx_start <= rts_end_us and not self.medium.busy():
             now = self.sim.now_us
             if self.nav_until > now:
                 self.nav_until = now
                 if self.state == CONTEND:
-                    self._resume_contention(now)
+                    self.resume_contention(now)
 
     def sense_channel(self, at_us=None):
         """Busy if any transmission is in the air or my NAV has not expired."""

@@ -75,6 +75,31 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config_text, field",
+    [
+        # faster than one packet per microsecond: every arrival at one instant
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "attack": {"rate_pps": 1000001}}',
+                     "attack.rate_pps", id="attack-rate-above-1MHz"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "legit": {"app_rate_pps": 1000001}}',
+                     "legit.app_rate_pps", id="app-rate-above-1MHz"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "attack": {"rate_pps": 400.5}}',
+                     "attack.rate_pps", id="attack-rate-not-integer"),
+        pytest.param('{"duration_s": NaN}', "duration_s", id="duration-nan"),
+        pytest.param('{"duration_s": "100"}', "duration_s", id="duration-string"),
+        pytest.param('{"warmup_s": "10"}', "warmup_s", id="warmup-string"),
+    ],
+)
+def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(config_text)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-m", "roqsim.cli", "run", "--config", str(path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error: " + field), proc.stderr
+
+
 def test_calibrate_refuses_attacked_config(config_path, capsys):
     # thresholds learned under attack would bake the anomaly into the baseline
     assert main(["calibrate", "--config", config_path]) == 2

@@ -98,6 +98,61 @@ def test_trace_format():
     assert lines[1] == "0.000042\t0\textra\tdetail=1"
 
 
+def test_trace_line_outside_dispatch():
+    # seconds.micros, then the seq of the last dispatch (-1 before any)
+    buf = io.StringIO()
+    sim = Simulator(seed=0, trace=buf)
+    sim.trace_line("start", "a=1")
+    sim.schedule(2_000_042, "tick", lambda: None, detail="d")
+    sim.run_until(12_500_000)
+    sim.trace_line("end", "b=2")
+    assert buf.getvalue() == (
+        "0.000000\t-1\tstart\ta=1\n"
+        "2.000042\t0\ttick\td\n"
+        "12.500000\t0\tend\tb=2\n"
+    )
+
+
+def test_cancel_at_current_timestamp_stops_the_event():
+    sim = Simulator(seed=0)
+    seen = []
+    later = []
+
+    def first():
+        seen.append("first")
+        later[0].cancel()
+
+    sim.schedule(100, "first", first)
+    later.append(sim.schedule(100, "second", lambda: seen.append("second")))
+    sim.run_until(100)
+    assert seen == ["first"]
+    assert sim.dispatched == 1
+
+
+def test_cancel_after_dispatch_is_a_no_op():
+    sim = Simulator(seed=0)
+    seen = []
+    h = sim.schedule(10, "x", lambda: seen.append("x"))
+    sim.schedule(20, "y", lambda: seen.append("y"))
+    sim.run_until(10)
+    h.cancel()
+    h.cancel()
+    sim.run_until(30)
+    assert seen == ["x", "y"]
+    assert sim.dispatched == 2
+
+
+def test_handle_reads_back_fire_time_and_cancelled():
+    sim = Simulator(seed=0)
+    sim.run_until(5)
+    h = sim.schedule_in(70, "x", lambda: None)
+    assert h.fire_us == 75
+    assert not h.cancelled
+    h.cancel()
+    assert h.cancelled
+    assert h.fire_us == 75
+
+
 def test_rng_repeatable_across_instances():
     a = RandomSource(1234)
     b = RandomSource(1234)
