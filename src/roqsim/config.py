@@ -3,8 +3,8 @@
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import Optional, Union, get_args, get_origin
 
 DEFENSE_NONE = "none"
 DEFENSE_MLDA = "mlda"
@@ -14,6 +14,9 @@ DEFENSES = (DEFENSE_NONE, DEFENSE_MLDA, DEFENSE_SHREW)
 # packet spacing is whole microseconds: a faster source would put every
 # arrival at one instant and the run would never advance
 MAX_RATE_PPS = 1_000_000
+
+# the clock's step; a shorter interval or bin would round to zero microseconds
+MIN_STEP_S = 1e-6
 
 
 class ConfigError(ValueError):
@@ -74,9 +77,9 @@ class ShrewSection:
 
 @dataclass
 class SweepSection:
-    attacker_counts: tuple = (2, 4, 6, 8)
-    periods_s: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
-    seeds: tuple = (1, 2, 3, 4, 5)
+    attacker_counts: tuple[int, ...] = (2, 4, 6, 8)
+    periods_s: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
+    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
 
 
 @dataclass
@@ -93,37 +96,32 @@ class RunConfig:
     sweep: SweepSection = field(default_factory=SweepSection)
 
     def validate(self):
-        _check_finite("duration_s", self.duration_s)
-        _check_finite("warmup_s", self.warmup_s)
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
-        if self.warmup_s < 0 or self.warmup_s >= self.duration_s:
+        _check_types(self)
+        for name in _POSITIVE:
+            value = _field(self, name)
+            if value <= 0:
+                raise ConfigError("%s must be positive, got %r" % (name, value))
+        for name, low in _MINIMUM:
+            value = _field(self, name)
+            if value is not None and value < low:
+                raise ConfigError("%s must be >= %g, got %r" % (name, low, value))
+        for name in ("legit.app_rate_pps", "attack.rate_pps"):
+            if _field(self, name) > MAX_RATE_PPS:
+                raise ConfigError("%s must be at most %d (one packet per microsecond)"
+                                  % (name, MAX_RATE_PPS))
+        if self.warmup_s >= self.duration_s:
             raise ConfigError("warmup_s must be in [0, duration_s)")
         if self.defense not in DEFENSES:
             raise ConfigError("defense must be one of %s" % (DEFENSES,))
-        if self.legit.count < 1:
-            raise ConfigError("need at least one legitimate flow")
-        _check_rate("legit.app_rate_pps", self.legit.app_rate_pps)
-        if self.legit.app_rate_pps < 0:
-            raise ConfigError("legit.app_rate_pps must be >= 0 (0 = greedy)")
-        if self.attack.count < 0:
-            raise ConfigError("attack.count must be >= 0")
-        _check_rate("attack.rate_pps", self.attack.rate_pps)
-        if self.attack.period_s < 0:
-            raise ConfigError("attack.period_s must be >= 0 (0 disables the attack)")
+        if self.phy.cw_max < self.phy.cw_min:
+            raise ConfigError("phy.cw_max must be >= phy.cw_min")
         if self.attack.period_s > 0 and self.attack.burst_s >= self.attack.period_s:
             raise ConfigError("attack.burst_s must be shorter than attack.period_s")
-        if self.attack.cw < 1:
-            raise ConfigError("attack.cw must be >= 1")
-        if self.mlda.interval_s <= 0:
-            raise ConfigError("mlda.interval_s must be positive")
         if self.mlda.escalation not in ("streak", "absolute"):
             raise ConfigError("mlda.escalation must be 'streak' or 'absolute'")
         n = self.shrew.window_bins
         if n < 2 or n & (n - 1):
             raise ConfigError("shrew.window_bins must be a power of two")
-        if self.shrew.bin_s <= 0:
-            raise ConfigError("shrew.bin_s must be positive")
         nyq = 1.0 / (2.0 * self.shrew.bin_s)
         if not (0 < self.shrew.cutoff_hz <= nyq):
             raise ConfigError("shrew.cutoff_hz must be in (0, %g]" % nyq)
@@ -147,28 +145,84 @@ class RunConfig:
     def to_dict(self):
         return asdict(self)
 
-    def replace(self, **kw):
-        """Deep copy with top-level field overrides."""
-        other = config_from_dict(self.to_dict())
-        for k, v in kw.items():
-            if not hasattr(other, k):
-                raise ConfigError("unknown config field %r" % k)
-            setattr(other, k, v)
-        return other.validate()
+
+# range checks run after the type checks, so every value compares cleanly
+_POSITIVE = (
+    "duration_s",
+    "phy.slot_us",
+    "phy.sifs_us",
+    "phy.difs_us",
+    "phy.rate_bps",
+    "phy.queue_lifetime_s",
+)
+
+_MINIMUM = (
+    ("warmup_s", 0),
+    ("phy.cw_min", 1),
+    ("phy.retry_limit", 0),
+    ("legit.count", 1),
+    ("legit.packet_bits", 1),
+    ("legit.rwnd", 1),
+    ("legit.app_rate_pps", 0),  # 0 = greedy
+    ("attack.count", 0),
+    ("attack.period_s", 0),  # 0 disables the attack
+    ("attack.burst_s", 0),
+    ("attack.rate_pps", 0),
+    ("attack.packet_bits", 1),
+    ("attack.jitter_s", 0),
+    ("attack.cw", 1),
+    ("attack.queue_cap", 1),
+    ("mlda.interval_s", MIN_STEP_S),
+    ("mlda.rc_th", 0),  # thresholds: None means calibrate
+    ("mlda.se_th_s", 0),
+    ("mlda.re_th", 0),
+    ("shrew.bin_s", MIN_STEP_S),
+)
 
 
-def _check_finite(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ConfigError("%s must be a finite number, got %r" % (name, value))
+def _field(config, dotted):
+    value = config
+    for part in dotted.split("."):
+        value = getattr(value, part)
+    return value
 
 
-def _check_rate(name, value):
-    # an integer rate keeps packet spacings, and so every event time, integral
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError("%s must be an integer, got %r" % (name, value))
-    if value > MAX_RATE_PPS:
-        raise ConfigError("%s must be at most %d (one packet per microsecond)"
-                          % (name, MAX_RATE_PPS))
+# JSON true is not a count, NaN passes every range check, and integer rates
+# and sizes keep packet spacings, and so every event time, integral
+_KINDS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    float: ("a finite number", lambda v: isinstance(v, numbers.Real)
+            and not isinstance(v, bool) and math.isfinite(v)),
+    str: ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _check_value(name, kind, value):
+    text, ok = _KINDS[kind]
+    if not ok(value):
+        raise ConfigError("%s must be %s, got %r" % (name, text, value))
+
+
+def _check_types(obj, prefix=""):
+    """Check every field against its annotated type, sections recursively."""
+    for f in fields(obj):
+        name = prefix + f.name
+        value = getattr(obj, f.name)
+        if is_dataclass(f.type):
+            if not isinstance(value, f.type):
+                raise ConfigError("section %r must be an object" % name)
+            _check_types(value, name + ".")
+        elif get_origin(f.type) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError("%s must be a list, got %r" % (name, value))
+            for i, item in enumerate(value):
+                _check_value("%s[%d]" % (name, i), get_args(f.type)[0], item)
+        elif get_origin(f.type) is Union:  # Optional[float]: None means unset
+            if value is not None:
+                _check_value(name, get_args(f.type)[0], value)
+        else:
+            _check_value(name, f.type, value)
 
 
 _SECTIONS = {

@@ -7,7 +7,7 @@ set bits grades the finding (normal / suspected / attacker) and repeated bad
 findings escalate to a block.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 NOFINDING = "nofinding"
@@ -65,6 +65,13 @@ class Thresholds:
     def se_th_us(self):
         return int(round(self.se_th_s * 1_000_000))
 
+    @classmethod
+    def configured(cls, mlda):
+        """Thresholds set in a config's mlda section, or None unless all three are."""
+        if mlda.rc_th is None or mlda.se_th_s is None or mlda.re_th is None:
+            return None
+        return cls(mlda.rc_th, mlda.se_th_s, mlda.re_th, mlda.interval_s)
+
 
 def compute_cb(counters, th):
     """Threshold one interval's counters into congestion bits.
@@ -111,15 +118,11 @@ class MonitorState:
         self.interval_index = 0  # 1-based after the first processed interval
 
 
-def is_blocked(state, node):
-    return node in state.blocklist
+def monitor_interval(state, bits_by_node):
+    """Process one interval of per-node congestion bits; returns emitted actions.
 
-
-def monitor_interval(state, observations, th):
-    """Process one interval of per-node observations; returns emitted actions.
-
-    observations maps node id -> counters object (rts_cts, busy_stop_us,
-    retrans).  Blocked nodes are absorbing: their observations are ignored.
+    bits_by_node maps node id -> CongestionBits.  Blocked nodes are
+    absorbing: their bits are ignored.
     Streak mode: an attacker finding increments the attacker streak, a
     suspected finding increments the suspected streak without resetting the
     attacker streak, and a normal or empty finding resets both.  Absolute
@@ -132,10 +135,10 @@ def monitor_interval(state, observations, th):
     """
     state.interval_index += 1
     actions = []
-    for node in sorted(observations):
+    for node in sorted(bits_by_node):
         if node in state.blocklist:
             continue
-        cb = compute_cb(observations[node], th)
+        cb = bits_by_node[node]
         finding = classify_cb(cb)
         st = state.statuses.get(node)
         if st is None:

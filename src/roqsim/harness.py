@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .config import DEFENSE_MLDA, DEFENSE_NONE, DEFENSE_SHREW, config_from_dict
 from .defense import Thresholds
 from .metrics import packet_loss
-from .runner import SimulationRun, run_simulation
+from .runner import run_simulation
 
 RESULTS_HEADER = (
     "axis",
@@ -67,8 +67,7 @@ def calibrate_thresholds(config):
     if config.attack_enabled():
         raise ValueError("calibration requires an attack-free config")
     cfg = attack_free(config)
-    run = SimulationRun(cfg, collect_intervals=True)
-    result = run.execute()
+    result = run_simulation(cfg)
     first = int(cfg.warmup_s / cfg.mlda.interval_s) + 1
     legit = set(cfg.legit_nodes())
     rc, se, re = [], [], []
@@ -83,10 +82,7 @@ def calibrate_thresholds(config):
 
 def resolve_thresholds(config):
     """Use explicitly configured thresholds if complete, else calibrate."""
-    m = config.mlda
-    if m.rc_th is not None and m.se_th_s is not None and m.re_th is not None:
-        return Thresholds(m.rc_th, m.se_th_s, m.re_th, m.interval_s)
-    return calibrate_thresholds(attack_free(config))
+    return Thresholds.configured(config.mlda) or calibrate_thresholds(attack_free(config))
 
 
 def _point_config(config, axis, value, defense, seed):

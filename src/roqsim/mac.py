@@ -12,13 +12,13 @@ RTS/CTS frames heard, microseconds of frozen backoff, and retransmissions.
 
 from collections import deque
 
+from .config import PhySection
+from .kernel import to_us
+
 RTS = "RTS"
 CTS = "CTS"
 DATA = "DATA"
 ACK = "ACK"
-
-CHANNEL_IDLE = "idle"
-CHANNEL_BUSY = "busy"
 
 IDLE = "idle"
 CONTEND = "contend"
@@ -30,9 +30,15 @@ OUT_LIFETIME_DROP = "lifetime_drop"
 OUT_OVERFLOW_DROP = "overflow_drop"
 OUT_BLOCKED_DROP = "blocked_drop"
 
+# frame sizes in bits
+RTS_BITS = 160
+CTS_BITS = 112
+ACK_BITS = 112
+MAC_HEADER_BITS = 224
+
 
 class PhyParams:
-    """Channel timing constants; defaults model a 2 Mb/s DSSS cell."""
+    """Channel timing derived from a config's PHY section (default: PhySection())."""
 
     __slots__ = (
         "slot_us",
@@ -42,10 +48,6 @@ class PhyParams:
         "cw_min",
         "cw_max",
         "retry_limit",
-        "rts_bits",
-        "cts_bits",
-        "ack_bits",
-        "mac_header_bits",
         "queue_lifetime_us",
         "rts_us",
         "cts_us",
@@ -55,51 +57,34 @@ class PhyParams:
         "nav_reset_us",
     )
 
-    def __init__(
-        self,
-        slot_us=20,
-        sifs_us=10,
-        difs_us=50,
-        rate_bps=2_000_000,
-        cw_min=31,
-        cw_max=1023,
-        retry_limit=7,
-        rts_bits=160,
-        cts_bits=112,
-        ack_bits=112,
-        mac_header_bits=224,
-        queue_lifetime_us=500_000,
-    ):
-        if slot_us <= 0 or sifs_us <= 0 or difs_us <= 0 or rate_bps <= 0:
+    def __init__(self, section=None):
+        s = PhySection() if section is None else section
+        if s.slot_us <= 0 or s.sifs_us <= 0 or s.difs_us <= 0 or s.rate_bps <= 0:
             raise ValueError("PHY timing constants must be positive")
-        if cw_min < 1 or cw_max < cw_min:
+        if s.cw_min < 1 or s.cw_max < s.cw_min:
             raise ValueError("need 1 <= cw_min <= cw_max")
-        self.slot_us = slot_us
-        self.sifs_us = sifs_us
-        self.difs_us = difs_us
-        self.rate_bps = rate_bps
-        self.cw_min = cw_min
-        self.cw_max = cw_max
-        self.retry_limit = retry_limit
-        self.rts_bits = rts_bits
-        self.cts_bits = cts_bits
-        self.ack_bits = ack_bits
-        self.mac_header_bits = mac_header_bits
-        self.queue_lifetime_us = queue_lifetime_us
-        self.rts_us = self.airtime_us(rts_bits)
-        self.cts_us = self.airtime_us(cts_bits)
-        self.ack_us = self.airtime_us(ack_bits)
+        self.slot_us = s.slot_us
+        self.sifs_us = s.sifs_us
+        self.difs_us = s.difs_us
+        self.rate_bps = s.rate_bps
+        self.cw_min = s.cw_min
+        self.cw_max = s.cw_max
+        self.retry_limit = s.retry_limit
+        self.queue_lifetime_us = to_us(s.queue_lifetime_s)
+        self.rts_us = self.airtime_us(RTS_BITS)
+        self.cts_us = self.airtime_us(CTS_BITS)
+        self.ack_us = self.airtime_us(ACK_BITS)
         # responder answers at SIFS; allow one slot of slack before giving up
-        self.cts_timeout_us = sifs_us + self.cts_us + 2 * slot_us
-        self.ack_timeout_us = sifs_us + self.ack_us + 2 * slot_us
+        self.cts_timeout_us = s.sifs_us + self.cts_us + 2 * s.slot_us
+        self.ack_timeout_us = s.sifs_us + self.ack_us + 2 * s.slot_us
         # hearing an RTS reserves the medium; release it if no CTS follows
-        self.nav_reset_us = sifs_us + self.cts_us + 2 * slot_us
+        self.nav_reset_us = s.sifs_us + self.cts_us + 2 * s.slot_us
 
     def airtime_us(self, bits):
         return (bits * 1_000_000 + self.rate_bps - 1) // self.rate_bps
 
     def data_us(self, payload_bits):
-        return self.airtime_us(self.mac_header_bits + payload_bits)
+        return self.airtime_us(MAC_HEADER_BITS + payload_bits)
 
     def exchange_tail_us(self, payload_bits):
         """NAV an RTS must reserve: the rest of the four-way handshake."""
@@ -154,10 +139,6 @@ class IntervalCounters:
     def snapshot(self):
         return IntervalCounters(self.rts_cts, self.busy_stop_us, self.retrans)
 
-    @property
-    def busy_stop_s(self):
-        return self.busy_stop_us / 1_000_000.0
-
     def __repr__(self):
         return "IntervalCounters(rts_cts=%d, busy_stop_us=%d, retrans=%d)" % (
             self.rts_cts,
@@ -187,16 +168,6 @@ class Medium:
 
     def busy(self):
         return bool(self._active)
-
-    def sense(self, node_id, at_us=None):
-        """Channel state as seen by one station (physical carrier or own NAV)."""
-        st = self.stations.get(node_id)
-        if st is None:
-            raise ValueError("unknown node id %d" % node_id)
-        now = self.sim.now_us if at_us is None else at_us
-        if self._active or st.nav_until > now:
-            return CHANNEL_BUSY
-        return CHANNEL_IDLE
 
     def transmit(self, src_id, frame, air_us):
         now = self.sim.now_us
@@ -328,9 +299,6 @@ class Station:
             self.backoff_rem = self.rng.uniform_int(0, self.cw)
             self._enter_contend(now)
         return True
-
-    def pending(self):
-        return len(self.queue)
 
     def disable(self):
         """Deassociate: cease all transmission and drop everything queued.
@@ -598,7 +566,3 @@ class Station:
                 self.nav_until = now
                 if self.state == CONTEND:
                     self.resume_contention(now)
-
-    def sense_channel(self, at_us=None):
-        """Busy if any transmission is in the air or my NAV has not expired."""
-        return self.medium.sense(self.node_id, at_us)

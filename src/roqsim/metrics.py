@@ -6,7 +6,7 @@ the windowed ledger (events at or after the warm-up cutoff) backs metrics.
 Goodput counts each sequence number once, at its first clean reception.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class FlowStats:
@@ -104,13 +104,6 @@ class ClassStats:
         self.sent_pkts += fs.w_sent_pkts
         self.dropped_pkts += fs.w_dropped_pkts
         self.dropped_bits += fs.w_dropped_bits
-
-
-def received_bandwidth(stats, duration_s):
-    """Delivered application bits per second over the metrics window."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    return stats.goodput_bits / duration_s
 
 
 def packet_loss(stats):

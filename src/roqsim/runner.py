@@ -16,16 +16,7 @@ from . import defense as dfs
 from . import spectral
 from .config import DEFENSE_MLDA, DEFENSE_SHREW, RunConfig
 from .kernel import Simulator, to_us
-from .mac import (
-    CTS,
-    DATA,
-    OUT_DELIVERED,
-    RTS,
-    IntervalCounters,
-    Medium,
-    PhyParams,
-    Station,
-)
+from .mac import CTS, DATA, OUT_DELIVERED, RTS, Medium, PhyParams, Station
 from .metrics import ClassStats, FlowStats, audit_conservation
 from .traffic import PulsedSource, TcpSink, TcpSource
 
@@ -68,29 +59,19 @@ class RunResult:
 class SimulationRun:
     """One configured run; call execute() once."""
 
-    def __init__(self, config, thresholds=None, trace=None, collect_intervals=False):
+    def __init__(self, config, thresholds=None, trace=None):
         config.validate()
         self.config = config
         self.trace = trace
-        self.collect_intervals = collect_intervals
         self.sim = Simulator(seed=config.seed, trace=trace)
-        self.phy = PhyParams(
-            slot_us=config.phy.slot_us,
-            sifs_us=config.phy.sifs_us,
-            difs_us=config.phy.difs_us,
-            rate_bps=config.phy.rate_bps,
-            cw_min=config.phy.cw_min,
-            cw_max=config.phy.cw_max,
-            retry_limit=config.phy.retry_limit,
-            queue_lifetime_us=to_us(config.phy.queue_lifetime_s),
-        )
+        self.phy = PhyParams(config.phy)
         self.medium = Medium(self.sim)
         self.warmup_us = to_us(config.warmup_s)
         self.duration_us = to_us(config.duration_s)
         self.legit_nodes = config.legit_nodes()
         self.attacker_nodes = config.attacker_nodes()
         self.blocklist = set()
-        self.thresholds = thresholds or self._configured_thresholds()
+        self.thresholds = thresholds or dfs.Thresholds.configured(config.mlda)
         if config.defense == DEFENSE_MLDA and self.thresholds is None:
             raise ValueError(
                 "defense 'mlda' needs thresholds; calibrate first or set them in config"
@@ -105,12 +86,6 @@ class SimulationRun:
         self._stamp_c3 = set()
         self._interval_idx = 0
         self._build()
-
-    def _configured_thresholds(self):
-        m = self.config.mlda
-        if m.rc_th is None or m.se_th_s is None or m.re_th is None:
-            return None
-        return dfs.Thresholds(m.rc_th, m.se_th_s, m.re_th, m.interval_s)
 
     # -- construction -------------------------------------------------------
 
@@ -271,30 +246,28 @@ class SimulationRun:
             snapshots[node] = self.stations[node].rollover_counters()
         self.ap.rollover_counters()  # AP is not monitored but stays in step
 
-        if self.collect_intervals:
-            for node, snap in sorted(snapshots.items()):
-                self.interval_records.append(
-                    IntervalRecord(
-                        self._interval_idx,
-                        node,
-                        self._tap_rts_cts.get(node, 0),
-                        snap.busy_stop_us,
-                        snap.retrans,
-                    )
+        for node, snap in sorted(snapshots.items()):
+            self.interval_records.append(
+                IntervalRecord(
+                    self._interval_idx,
+                    node,
+                    self._tap_rts_cts.get(node, 0),
+                    snap.busy_stop_us,
+                    snap.retrans,
                 )
+            )
 
         if mlda_on:
-            observations = {}
-            for node in self.legit_nodes + self.attacker_nodes:
-                if node in self.monitor.blocklist:
-                    continue
-                observations[node] = IntervalCounters(
-                    rts_cts=self._tap_rts_cts.get(node, 0),
-                    busy_stop_us=th.se_th_us + 1 if node in self._stamp_c2 else 0,
-                    retrans=int(th.re_th) + 1 if node in self._stamp_c3 else 0,
+            # the AP counts RTS/CTS itself and takes the other two bits as stamped
+            bits = {
+                node: dfs.CongestionBits(
+                    self._tap_rts_cts.get(node, 0) > th.rc_th,
+                    node in self._stamp_c2,
+                    node in self._stamp_c3,
                 )
-            actions = dfs.monitor_interval(self.monitor, observations, th)
-            self._record_actions(actions)
+                for node in snapshots
+            }
+            self._record_actions(dfs.monitor_interval(self.monitor, bits))
             # next interval every honest node stamps its own previous bits
             for node, snap in snapshots.items():
                 st = self.stations[node]
@@ -402,7 +375,5 @@ class SimulationRun:
         )
 
 
-def run_simulation(config, thresholds=None, trace=None, collect_intervals=False):
-    return SimulationRun(
-        config, thresholds=thresholds, trace=trace, collect_intervals=collect_intervals
-    ).execute()
+def run_simulation(config, thresholds=None, trace=None):
+    return SimulationRun(config, thresholds=thresholds, trace=trace).execute()

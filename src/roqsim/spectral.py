@@ -14,9 +14,6 @@ import numpy as np
 LEGIT = "legit"
 ATTACK = "attack"
 
-DEFAULT_BIN_S = 0.05
-DEFAULT_WINDOW_BINS = 1024
-DEFAULT_CUTOFF_HZ = 5.0
 DEFAULT_RATIO_THRESHOLD = 0.7
 
 

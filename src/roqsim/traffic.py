@@ -214,20 +214,6 @@ class TcpSink:
         return first
 
 
-def is_bursting(t_s, period_s, burst_s, phase_s=0.0):
-    """True while a pulsed sender is inside a burst window; period 0 disables."""
-    if period_s <= 0 or burst_s <= 0:
-        return False
-    return (t_s - phase_s) % period_s < burst_s
-
-
-def offered_load_bps(period_s, burst_s, rate_pps, packet_bits):
-    """Long-run average offered load of the on-off pattern."""
-    if period_s <= 0:
-        return 0.0
-    return rate_pps * packet_bits * burst_s / period_s
-
-
 class PulsedSource:
     """On-off sender: rate_pps packet arrivals during each burst window.
 

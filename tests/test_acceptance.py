@@ -98,17 +98,10 @@ def _replay_block_interval(findings, mode):
 
 def test_criterion_2_escalation_block_timing():
     t0 = time.monotonic()
-    th = Thresholds(rc_th=10.0, se_th_s=0.5, re_th=3.0)
     codes = ["%d%d%d" % b for b in itertools.product((0, 1), repeat=3)]
 
     def obs(code):
-        return {
-            1: IntervalCounters(
-                rts_cts=11 if code[0] == "1" else 10,
-                busy_stop_us=500_001 if code[1] == "1" else 500_000,
-                retrans=4 if code[2] == "1" else 3,
-            )
-        }
+        return {1: CongestionBits.from_string(code)}
 
     sequences = 0
     for mode in ("streak", "absolute"):
@@ -119,7 +112,7 @@ def test_criterion_2_escalation_block_timing():
                 state = MonitorState(escalation=mode)
                 got = None
                 for i, code in enumerate(seq, start=1):
-                    acts = monitor_interval(state, obs(code), th)
+                    acts = monitor_interval(state, obs(code))
                     if any(isinstance(a, Block) for a in acts):
                         assert got is None
                         got = i

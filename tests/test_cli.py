@@ -88,6 +88,43 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
         pytest.param('{"duration_s": NaN}', "duration_s", id="duration-nan"),
         pytest.param('{"duration_s": "100"}', "duration_s", id="duration-string"),
         pytest.param('{"warmup_s": "10"}', "warmup_s", id="warmup-string"),
+        # every field is checked against its type: integers, finite numbers, bools
+        pytest.param('{"seed": 1.5}', "seed", id="seed-float"),
+        pytest.param('{"seed": "x"}', "seed", id="seed-string"),
+        pytest.param('{"attack": {"period_s": NaN}}', "attack.period_s", id="period-nan"),
+        pytest.param('{"attack": {"burst_s": NaN}}', "attack.burst_s", id="burst-nan"),
+        pytest.param('{"mlda": {"interval_s": NaN}}', "mlda.interval_s", id="interval-nan"),
+        pytest.param('{"phy": {"queue_lifetime_s": "x"}}', "phy.queue_lifetime_s",
+                     id="queue-lifetime-string"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "attack": {"count": true}}',
+                     "attack.count", id="attack-count-bool"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "attack": {"stagger": 1}}',
+                     "attack.stagger", id="stagger-not-bool"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "sweep": {"seeds": [1, 2.5]}}',
+                     "sweep.seeds[1]", id="sweep-seed-float"),
+        # ranges: PHY timing, one-microsecond steps, sizes, thresholds
+        pytest.param('{"phy": {"slot_us": 0}}', "phy.slot_us", id="slot-zero"),
+        pytest.param('{"phy": {"cw_min": 0}}', "phy.cw_min", id="cw-min-zero"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "phy": {"retry_limit": -1}}',
+                     "phy.retry_limit", id="retry-limit-negative"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "phy": {"queue_lifetime_s": 0}}',
+                     "phy.queue_lifetime_s", id="queue-lifetime-zero"),
+        pytest.param('{"shrew": {"bin_s": 1e-7}}', "shrew.bin_s", id="bin-below-1us"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "mlda": {"interval_s": 1e-7}}',
+                     "mlda.interval_s", id="interval-below-1us"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "legit": {"packet_bits": 0}}',
+                     "legit.packet_bits", id="legit-packet-zero"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "legit": {"rwnd": 0}}',
+                     "legit.rwnd", id="rwnd-zero"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "attack": {"packet_bits": 0}}',
+                     "attack.packet_bits", id="attack-packet-zero"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "attack": {"queue_cap": 0}}',
+                     "attack.queue_cap", id="queue-cap-zero"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "attack": {"jitter_s": -0.5}}',
+                     "attack.jitter_s", id="jitter-negative"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "defense": "mlda",'
+                     ' "mlda": {"rc_th": -1, "se_th_s": 0.1, "re_th": 3}}',
+                     "mlda.rc_th", id="threshold-negative"),
     ],
 )
 def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):

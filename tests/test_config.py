@@ -40,17 +40,6 @@ def test_attack_enabled_logic():
     assert not config_from_dict({"attack": {"burst_s": 0.0}}).attack_enabled()
 
 
-def test_replace_is_deep_copy():
-    cfg = RunConfig()
-    other = cfg.replace(seed=99)
-    other.attack.count = 7
-    assert cfg.seed == 1
-    assert cfg.attack.count == 2
-    assert other.seed == 99
-    with pytest.raises(ConfigError):
-        cfg.replace(nonsense=1)
-
-
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -19,7 +19,6 @@ from roqsim.defense import (
     TransmitCB,
     classify_cb,
     compute_cb,
-    is_blocked,
     monitor_interval,
 )
 from roqsim.mac import IntervalCounters
@@ -83,8 +82,8 @@ def test_threshold_validation():
 
 def drive(state, codes_by_node):
     """Feed one interval; codes_by_node maps node -> bit string."""
-    obs = {node: counters_for(code) for node, code in codes_by_node.items()}
-    return monitor_interval(state, obs, TH)
+    bits = {node: CongestionBits.from_string(code) for node, code in codes_by_node.items()}
+    return monitor_interval(state, bits)
 
 
 def test_streak_blocks_on_three_attacker_intervals():
@@ -94,7 +93,7 @@ def test_streak_blocks_on_three_attacker_intervals():
     actions = drive(state, {1: "111"})
     assert Block(1) in actions
     assert state.statuses[1].status == BLOCKED
-    assert is_blocked(state, 1)
+    assert 1 in state.blocklist
 
 
 def test_streak_blocks_on_four_suspected_intervals():
@@ -130,7 +129,7 @@ def test_blocked_node_is_absorbing():
     state = MonitorState(escalation=STREAK)
     for _ in range(3):
         drive(state, {1: "111"})
-    assert is_blocked(state, 1)
+    assert 1 in state.blocklist
     assert drive(state, {1: "111"}) == []  # observations ignored once blocked
     assert state.statuses[1].status == BLOCKED
 

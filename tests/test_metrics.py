@@ -7,7 +7,6 @@ from roqsim.metrics import (
     FlowStats,
     audit_conservation,
     packet_loss,
-    received_bandwidth,
 )
 
 
@@ -41,13 +40,10 @@ def test_class_stats_sums_windowed_fields():
     assert cls.goodput_bits == 200
 
 
-def test_received_bandwidth_and_loss():
+def test_packet_loss():
     cls = ClassStats(goodput_bits=1_800_000, sent_pkts=100, dropped_pkts=5)
-    assert received_bandwidth(cls, 90.0) == pytest.approx(20_000.0)
     assert packet_loss(cls) == (5, 0.05)
     assert packet_loss(ClassStats()) == (0, 0.0)
-    with pytest.raises(ValueError):
-        received_bandwidth(cls, 0.0)
 
 
 def test_conservation_audit_balanced():

@@ -112,10 +112,21 @@ def test_trace_output():
         assert len(line.split("\t")) == 4
 
 
+def test_configured_thresholds_match_explicit_ones():
+    # no thresholds= argument: the run takes them from the mlda section
+    configured = run_simulation(
+        cfg(defense="mlda", mlda={"rc_th": 45.0, "se_th_s": 0.05, "re_th": 3.0})
+    )
+    explicit = run_simulation(cfg(defense="mlda"), thresholds=TH)
+    assert configured.thresholds == explicit.thresholds == TH
+    assert configured.detection_rows and configured.detection_rows == explicit.detection_rows
+    assert configured.blocked == explicit.blocked
+    assert configured.legit == explicit.legit and configured.attack == explicit.attack
+
+
 def test_interval_records_cover_all_stations():
     c = cfg(duration_s=10.0, warmup_s=2.0)
-    run = SimulationRun(c, collect_intervals=True)
-    result = run.execute()
+    result = run_simulation(c)
     nodes = {rec.node for rec in result.interval_records}
     assert nodes == set(c.legit_nodes() + c.attacker_nodes())
     indexes = {rec.index for rec in result.interval_records}

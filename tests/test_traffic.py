@@ -14,8 +14,6 @@ from roqsim.traffic import (
     TcpSource,
     apply_ack,
     apply_timeout,
-    is_bursting,
-    offered_load_bps,
 )
 
 
@@ -217,20 +215,6 @@ def test_sink_cumulative_ack_and_coalescing():
 
 
 # -- pulsed sender -----------------------------------------------------------
-
-
-def test_is_bursting_boundaries():
-    assert is_bursting(0.0, 1.2, 0.3)
-    assert is_bursting(0.29, 1.2, 0.3)
-    assert not is_bursting(0.3, 1.2, 0.3)  # burst window is half-open
-    assert is_bursting(1.2, 1.2, 0.3)
-    assert not is_bursting(0.0, 0.0, 0.3)  # period 0 disables
-    assert is_bursting(0.5, 1.2, 0.3, phase_s=0.5)
-
-
-def test_offered_load():
-    assert offered_load_bps(1.2, 0.3, 400, 8000) == pytest.approx(800_000.0)
-    assert offered_load_bps(0.0, 0.3, 400, 8000) == 0.0
 
 
 def test_pulsed_source_arrival_times():
