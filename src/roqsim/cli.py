@@ -3,6 +3,7 @@
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import harness, spectral
 from .config import DEFENSE_MLDA, ConfigError, load_config
@@ -71,11 +72,7 @@ def _cmd_sweep(args):
 def _cmd_calibrate(args):
     cfg = load_config(args.config)
     th = harness.calibrate_thresholds(cfg)
-    print(json.dumps(
-        {"rc_th": th.rc_th, "se_th_s": th.se_th_s, "re_th": th.re_th,
-         "interval_s": th.interval_s},
-        sort_keys=True,
-    ))
+    print(json.dumps(asdict(th), sort_keys=True))
     return 0
 
 

@@ -6,6 +6,8 @@ import numbers
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin
 
+from .kernel import to_us
+
 DEFENSE_NONE = "none"
 DEFENSE_MLDA = "mlda"
 DEFENSE_SHREW = "shrew"
@@ -115,8 +117,15 @@ class RunConfig:
             raise ConfigError("defense must be one of %s" % (DEFENSES,))
         if self.phy.cw_max < self.phy.cw_min:
             raise ConfigError("phy.cw_max must be >= phy.cw_min")
-        if self.attack.period_s > 0 and self.attack.burst_s >= self.attack.period_s:
+        attack = self.attack
+        if attack.period_s > 0 and attack.burst_s >= attack.period_s:
             raise ConfigError("attack.burst_s must be shorter than attack.period_s")
+        # every period starts with an arrival: a shorter period than the
+        # packet spacing would outrun attack.rate_pps
+        if attack.period_s > 0 and attack.rate_pps > 0 and (
+                to_us(attack.period_s) < 1_000_000 // attack.rate_pps):
+            raise ConfigError("attack.period_s must be at least the packet spacing of "
+                              "attack.rate_pps, got %r" % attack.period_s)
         if self.mlda.escalation not in ("streak", "absolute"):
             raise ConfigError("mlda.escalation must be 'streak' or 'absolute'")
         n = self.shrew.window_bins
@@ -225,42 +234,31 @@ def _check_types(obj, prefix=""):
             _check_value(name, f.type, value)
 
 
-_SECTIONS = {
-    "phy": PhySection,
-    "legit": LegitSection,
-    "attack": AttackSection,
-    "mlda": MldaSection,
-    "shrew": ShrewSection,
-    "sweep": SweepSection,
-}
+def _build(cls, data, where):
+    """Build a config dataclass from parsed JSON, sections recursively.
 
-
-def _build_section(cls, data, where):
+    Each field's annotation says what it takes: a dataclass-typed field is a
+    section object, a tuple-typed field turns a JSON list into a tuple.
+    """
     if not isinstance(data, dict):
-        raise ConfigError("section %r must be an object" % where)
-    fields = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - fields
+        raise ConfigError("%s must be an object" % where)
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(kinds)
     if unknown:
-        raise ConfigError("unknown keys in %r: %s" % (where, sorted(unknown)))
-    kw = dict(data)
-    for key in ("attacker_counts", "periods_s", "seeds"):
-        if key in kw and isinstance(kw[key], list):
-            kw[key] = tuple(kw[key])
+        raise ConfigError("unknown keys in %s: %s" % (where, sorted(unknown)))
+    kw = {}
+    for key, value in data.items():
+        kind = kinds[key]
+        if is_dataclass(kind):
+            value = _build(kind, value, "section %r" % key)
+        elif get_origin(kind) is tuple and isinstance(value, list):
+            value = tuple(value)
+        kw[key] = value
     return cls(**kw)
 
 
 def config_from_dict(data):
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    kw = {}
-    for key, value in data.items():
-        if key in _SECTIONS:
-            kw[key] = _build_section(_SECTIONS[key], value, key)
-        elif key in RunConfig.__dataclass_fields__:
-            kw[key] = value
-        else:
-            raise ConfigError("unknown config key %r" % key)
-    return RunConfig(**kw).validate()
+    return _build(RunConfig, data, "config root").validate()
 
 
 def load_config(path):

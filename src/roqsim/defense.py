@@ -90,15 +90,6 @@ def classify_cb(cb):
     return (NOFINDING, NORMAL, SUSPECTED, ATTACKER)[cb.count()]
 
 
-class TransmitCB(NamedTuple):
-    node: int
-    cb: CongestionBits
-
-
-class Block(NamedTuple):
-    node: int
-
-
 @dataclass
 class NodeStatus:
     status: str = NORMAL
@@ -107,22 +98,25 @@ class NodeStatus:
 
 
 class MonitorState:
-    """Mutable per-run monitoring state (statuses, streaks, blocklist)."""
+    """Mutable per-run monitoring state (statuses and streaks)."""
 
     def __init__(self, escalation=STREAK):
         if escalation not in (STREAK, ABSOLUTE):
             raise ValueError("escalation must be %r or %r" % (STREAK, ABSOLUTE))
         self.escalation = escalation
         self.statuses = {}
-        self.blocklist = set()
         self.interval_index = 0  # 1-based after the first processed interval
 
 
 def monitor_interval(state, bits_by_node):
-    """Process one interval of per-node congestion bits; returns emitted actions.
+    """Process one interval of per-node congestion bits; returns its findings.
 
-    bits_by_node maps node id -> CongestionBits.  Blocked nodes are
-    absorbing: their bits are ignored.
+    bits_by_node maps node id -> CongestionBits.  The result holds one
+    (node, cb, status) tuple, in node order, for every node that had a
+    finding (at least one bit set) or was blocked in this interval; status is
+    the node's status after the interval, BLOCKED for a block.  A node blocked
+    without a finding shows bits 000.  Blocked nodes are absorbing: their
+    bits are ignored.
     Streak mode: an attacker finding increments the attacker streak, a
     suspected finding increments the suspected streak without resetting the
     attacker streak, and a normal or empty finding resets both.  Absolute
@@ -134,18 +128,18 @@ def monitor_interval(state, bits_by_node):
     the channel say nothing about behaviour in the relieved network.
     """
     state.interval_index += 1
-    actions = []
+    findings = []
+    blocked = False
     for node in sorted(bits_by_node):
-        if node in state.blocklist:
-            continue
-        cb = bits_by_node[node]
-        finding = classify_cb(cb)
         st = state.statuses.get(node)
         if st is None:
             st = state.statuses[node] = NodeStatus()
+        elif st.status == BLOCKED:
+            continue
+        cb = bits_by_node[node]
+        finding = classify_cb(cb)
         if finding != NOFINDING:
             st.status = finding
-            actions.append(TransmitCB(node, cb))
         if state.escalation == STREAK:
             if finding == ATTACKER:
                 st.attacker_streak += 1
@@ -164,11 +158,12 @@ def monitor_interval(state, bits_by_node):
             )
         if block:
             st.status = BLOCKED
-            state.blocklist.add(node)
-            actions.append(Block(node))
-    if state.escalation == STREAK and any(isinstance(a, Block) for a in actions):
-        for node, st in state.statuses.items():
+            blocked = True
+        if block or finding != NOFINDING:
+            findings.append((node, cb, st.status))
+    if blocked and state.escalation == STREAK:
+        for st in state.statuses.values():
             if st.status != BLOCKED:
                 st.attacker_streak = 0
                 st.suspected_streak = 0
-    return actions
+    return findings

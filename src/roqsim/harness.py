@@ -9,8 +9,9 @@ run every (value, defense, seed) point, and emit one CSV row per point.
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
-from .config import DEFENSE_MLDA, DEFENSE_NONE, DEFENSE_SHREW, config_from_dict
+from .config import DEFENSE_MLDA, DEFENSE_NONE, DEFENSE_SHREW, ConfigError
 from .defense import Thresholds
 from .metrics import packet_loss
 from .runner import run_simulation
@@ -41,10 +42,7 @@ def attack_free(config):
     """
     if config.defense == DEFENSE_NONE and config.attack.period_s == 0.0:
         return config
-    d = config.to_dict()
-    d["defense"] = DEFENSE_NONE
-    d["attack"]["period_s"] = 0.0
-    return config_from_dict(d)
+    return replace(config, defense=DEFENSE_NONE, attack=replace(config.attack, period_s=0.0))
 
 
 def thresholds_from_samples(rc_samples, se_samples_s, re_samples, interval_s=1.0):
@@ -85,23 +83,22 @@ def resolve_thresholds(config):
     return Thresholds.configured(config.mlda) or calibrate_thresholds(attack_free(config))
 
 
+# sweep axis -> (its list in the sweep section, the attack field it sets, that field's type)
+_AXES = {
+    "attackers": ("attacker_counts", "count", int),
+    "period": ("periods_s", "period_s", float),
+}
+
+
 def _point_config(config, axis, value, defense, seed):
-    d = config.to_dict()
-    d["defense"] = defense
-    d["seed"] = seed
-    if axis == "attackers":
-        d["attack"]["count"] = int(value)
-    elif axis == "period":
-        d["attack"]["period_s"] = float(value)
-    else:
-        raise ValueError("unknown sweep axis %r" % axis)
-    return d
+    _, name, kind = _AXES[axis]
+    attack = replace(config.attack, **{name: kind(value)})
+    return replace(config, defense=defense, seed=seed, attack=attack)
 
 
 def run_point(args):
     """One sweep point; module-level so process pools can pickle it."""
-    axis, value, defense, seed, cfg_dict, thresholds = args
-    cfg = config_from_dict(cfg_dict)
+    axis, value, defense, seed, cfg, thresholds = args
     result = run_simulation(cfg, thresholds=thresholds)
     loss_pkts, loss_ratio = packet_loss(result.legit)
     return (
@@ -125,30 +122,38 @@ def _run_points(points, workers):
     return [run_point(p) for p in points]
 
 
-def _sweep(config, axis, values, workers=1):
+def _sweep(config, axis, workers=1):
+    """Run every (value, defense, seed) point of one sweep axis.
+
+    Every point's config is checked before the calibration run, so a bad
+    sweep item fails at once and is named.
+    """
     config.validate()
-    thresholds = resolve_thresholds(config)
+    key = _AXES[axis][0]
     points = []
-    for value in values:
+    for i, value in enumerate(getattr(config.sweep, key)):
         for defense in (DEFENSE_MLDA, DEFENSE_SHREW):
             for seed in config.sweep.seeds:
-                points.append(
-                    (axis, value, defense, seed,
-                     _point_config(config, axis, value, defense, seed), thresholds)
-                )
-    rows = _run_points(points, workers)
+                cfg = _point_config(config, axis, value, defense, seed)
+                try:
+                    cfg.validate()
+                except ConfigError as exc:
+                    raise ConfigError("sweep.%s[%d]: %s" % (key, i, exc)) from None
+                points.append((axis, value, defense, seed, cfg))
+    thresholds = resolve_thresholds(config)
+    rows = _run_points([p + (thresholds,) for p in points], workers)
     rows.sort(key=lambda r: (float(r[1]), r[2], r[3]))
     return rows, thresholds
 
 
 def sweep_attackers(config, workers=1):
     """Vary the number of attackers at a fixed attack period."""
-    return _sweep(config, "attackers", config.sweep.attacker_counts, workers=workers)
+    return _sweep(config, "attackers", workers=workers)
 
 
 def sweep_period(config, workers=1):
     """Vary the attack period; period 0 means no attack."""
-    return _sweep(config, "period", config.sweep.periods_s, workers=workers)
+    return _sweep(config, "period", workers=workers)
 
 
 def aggregate_rows(rows):

@@ -53,9 +53,6 @@ class RandomSource:
             raise ValueError("uniform_int: empty range [%d, %d]" % (lo, hi))
         return self._rng.randint(lo, hi)
 
-    def uniform(self, lo, hi):
-        return self._rng.uniform(lo, hi)
-
 
 class EventHandle(list):
     """Scheduled callback, and its own heap entry: [fire_us, seq, fn, kind, detail].

@@ -131,14 +131,6 @@ class IntervalCounters:
         self.busy_stop_us = busy_stop_us
         self.retrans = retrans
 
-    def reset(self):
-        self.rts_cts = 0
-        self.busy_stop_us = 0
-        self.retrans = 0
-
-    def snapshot(self):
-        return IntervalCounters(self.rts_cts, self.busy_stop_us, self.retrans)
-
     def __repr__(self):
         return "IntervalCounters(rts_cts=%d, busy_stop_us=%d, retrans=%d)" % (
             self.rts_cts,
@@ -165,9 +157,6 @@ class Medium:
         self.stations[station.node_id] = station
         self._order.append(station)
         self._by_id = sorted(self._order, key=lambda st: st.node_id)
-
-    def busy(self):
-        return bool(self._active)
 
     def transmit(self, src_id, frame, air_us):
         now = self.sim.now_us
@@ -400,11 +389,11 @@ class Station:
             self._frozen_since = now
 
     def rollover_counters(self):
-        """Snapshot and reset this station's interval counters."""
+        """Hand over this interval's counters and start fresh ones."""
         self.checkpoint_freeze(self.sim.now_us)
-        snap = self.counters.snapshot()
-        self.counters.reset()
-        return snap
+        counters = self.counters
+        self.counters = IntervalCounters()
+        return counters
 
     # -- exchange sequencing ----------------------------------------------
 
@@ -560,7 +549,7 @@ class Station:
 
     def _nav_reset_check(self, rts_end_us):
         """Release the NAV an overheard RTS set if its handshake died (no CTS)."""
-        if self.medium.last_tx_start <= rts_end_us and not self.medium.busy():
+        if self.medium.last_tx_start <= rts_end_us and not self.medium._active:
             now = self.sim.now_us
             if self.nav_until > now:
                 self.nav_until = now

@@ -6,9 +6,11 @@ no CTS and their DATA is discarded).  Legit stations run the TCP-like flows
 toward the AP; attacker stations run pulsed senders toward the AP.
 
 Monitoring intervals are always scheduled so that an idle defense leaves the
-event pattern of a run untouched; only the defense consumes the snapshots.
+event pattern of a run untouched; only the MLDA defense acts on the interval
+counters.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -70,6 +72,7 @@ class SimulationRun:
         self.duration_us = to_us(config.duration_s)
         self.legit_nodes = config.legit_nodes()
         self.attacker_nodes = config.attacker_nodes()
+        self.monitored = self.legit_nodes + self.attacker_nodes  # in node order
         self.blocklist = set()
         self.thresholds = thresholds or dfs.Thresholds.configured(config.mlda)
         if config.defense == DEFENSE_MLDA and self.thresholds is None:
@@ -81,7 +84,7 @@ class SimulationRun:
         self.interval_records = []
         self.verdicts = []
         # server-side per-interval observation state
-        self._tap_rts_cts = {}
+        self._tap_rts_cts = defaultdict(int)
         self._stamp_c2 = set()
         self._stamp_c3 = set()
         self._interval_idx = 0
@@ -104,7 +107,6 @@ class SimulationRun:
         ap.on_data_rx = self._ap_data_rx
         ap.on_copy_done = self._copy_done
         self.stations[cfg.ap_node] = ap
-        self.ap = ap
 
         for node in self.legit_nodes:
             st = Station(sim, self.medium, self.phy, node, sim.rng.fork(node))
@@ -151,13 +153,10 @@ class SimulationRun:
 
         # arrival spectra are recorded for every flow regardless of defense
         bin_us = to_us(cfg.shrew.bin_s)
-        for node in self.legit_nodes + self.attacker_nodes:
+        for node in self.monitored:
             self.recorders[node] = spectral.ArrivalRecorder(node, bin_us, cfg.shrew.window_bins)
 
         self.medium.on_clean_frame = self._monitor_tap
-
-        for node in self.legit_nodes:
-            self._tap_rts_cts[node] = 0
 
         interval_us = to_us(cfg.mlda.interval_s)
         self._interval_us = interval_us
@@ -217,15 +216,9 @@ class SimulationRun:
     def _monitor_tap(self, frame, now):
         kind = frame.kind
         if kind == RTS:
-            if frame.src in self._tap_rts_cts:
-                self._tap_rts_cts[frame.src] += 1
-            elif frame.src != self.config.ap_node:
-                self._tap_rts_cts[frame.src] = 1
+            self._tap_rts_cts[frame.src] += 1
         elif kind == CTS:
-            if frame.dst in self._tap_rts_cts:
-                self._tap_rts_cts[frame.dst] += 1
-            elif frame.dst != self.config.ap_node:
-                self._tap_rts_cts[frame.dst] = 1
+            self._tap_rts_cts[frame.dst] += 1
         if kind == RTS or kind == DATA:
             cb = frame.cb
             if cb[1] == "1":
@@ -236,90 +229,57 @@ class SimulationRun:
     # -- monitoring interval -------------------------------------------------
 
     def _on_interval(self):
-        now = self.sim.now_us
         self._interval_idx += 1
-        cfg = self.config
+        idx = self._interval_idx
         th = self.thresholds
-        mlda_on = cfg.defense == DEFENSE_MLDA
-        snapshots = {}
-        for node in self.legit_nodes + self.attacker_nodes:
-            snapshots[node] = self.stations[node].rollover_counters()
-        self.ap.rollover_counters()  # AP is not monitored but stays in step
-
-        for node, snap in sorted(snapshots.items()):
+        mlda_on = self.config.defense == DEFENSE_MLDA
+        lying = self.config.mlda.lying_attacker
+        tap = self._tap_rts_cts
+        bits = {}
+        for node in self.monitored:
+            st = self.stations[node]
+            counters = st.rollover_counters()
             self.interval_records.append(
-                IntervalRecord(
-                    self._interval_idx,
-                    node,
-                    self._tap_rts_cts.get(node, 0),
-                    snap.busy_stop_us,
-                    snap.retrans,
-                )
+                IntervalRecord(idx, node, tap[node], counters.busy_stop_us, counters.retrans)
             )
+            if mlda_on:
+                # the AP counts RTS/CTS itself and takes the other two bits as stamped
+                bits[node] = dfs.CongestionBits(
+                    tap[node] > th.rc_th, node in self._stamp_c2, node in self._stamp_c3
+                )
+                # next interval every honest node stamps its own bits of this one
+                lies = st.aggressive and lying
+                st.stamp_cb = "000" if lies else str(dfs.compute_cb(counters, th))
 
         if mlda_on:
-            # the AP counts RTS/CTS itself and takes the other two bits as stamped
-            bits = {
-                node: dfs.CongestionBits(
-                    self._tap_rts_cts.get(node, 0) > th.rc_th,
-                    node in self._stamp_c2,
-                    node in self._stamp_c3,
-                )
-                for node in snapshots
-            }
-            self._record_actions(dfs.monitor_interval(self.monitor, bits))
-            # next interval every honest node stamps its own previous bits
-            for node, snap in snapshots.items():
-                st = self.stations[node]
-                if st.aggressive and cfg.mlda.lying_attacker:
-                    st.stamp_cb = "000"
+            for node, cb, status in dfs.monitor_interval(self.monitor, bits):
+                if status == dfs.BLOCKED:
+                    self._block(node, "node=%d" % node)
+                    action = "block"
                 else:
-                    st.stamp_cb = str(dfs.compute_cb(snap, th))
+                    action = "transmit_cb"
+                self.detection_rows.append((idx, node, str(cb), status, action))
 
         # server-side observation state resets every interval
-        for node in self._tap_rts_cts:
-            self._tap_rts_cts[node] = 0
+        tap.clear()
         self._stamp_c2.clear()
         self._stamp_c3.clear()
 
-        nxt = now + self._interval_us
+        nxt = self.sim.now_us + self._interval_us
         if nxt <= self.duration_us:
             self.sim.schedule(nxt, "interval_rollover", self._on_interval)
 
-    def _record_actions(self, actions):
-        transmitted = {}
-        blocked = set()
-        for act in actions:
-            if isinstance(act, dfs.TransmitCB):
-                transmitted[act.node] = act.cb
-            else:
-                blocked.add(act.node)
-                self.blocklist.add(act.node)
-                self.stations[act.node].disable()
-                self.sim.trace_line("block", "node=%d" % act.node)
-        for node in sorted(set(transmitted) | blocked):
-            cb = transmitted.get(node)
-            status = self.monitor.statuses[node].status
-            self.detection_rows.append(
-                (
-                    self._interval_idx,
-                    node,
-                    str(cb) if cb is not None else "000",
-                    status,
-                    "block" if node in blocked else "transmit_cb",
-                )
-            )
-
     def _on_spectral_verdict(self):
-        cfg = self.config
-        for node in self.legit_nodes + self.attacker_nodes:
-            rec = self.recorders[node]
-            v = rec.analyze(cfg.shrew.cutoff_hz, cfg.shrew.ratio_threshold)
-            self.verdicts.append(v)
+        self.verdicts = self.analyze_spectra()
+        for v in self.verdicts:
             if v.verdict == spectral.ATTACK:
-                self.blocklist.add(node)
-                self.stations[node].disable()
-                self.sim.trace_line("block", "node=%d ratio=%.4f" % (node, v.ratio))
+                self._block(v.flow, "node=%d ratio=%.4f" % (v.flow, v.ratio))
+
+    def _block(self, node, detail):
+        """Enforce a verdict: the AP refuses the node, which is deassociated."""
+        self.blocklist.add(node)
+        self.stations[node].disable()
+        self.sim.trace_line("block", detail)
 
     # -- execution ----------------------------------------------------------
 
@@ -330,11 +290,9 @@ class SimulationRun:
 
     def analyze_spectra(self):
         """Spectra of the recorded first window (any defense, no blocking)."""
-        cfg = self.config
-        out = []
-        for node in self.legit_nodes + self.attacker_nodes:
-            out.append(self.recorders[node].analyze(cfg.shrew.cutoff_hz, cfg.shrew.ratio_threshold))
-        return out
+        shrew = self.config.shrew
+        return [self.recorders[node].analyze(shrew.cutoff_hz, shrew.ratio_threshold)
+                for node in self.monitored]
 
     def _collect(self):
         legit = ClassStats()

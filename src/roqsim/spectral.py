@@ -71,8 +71,6 @@ def classify_flow(ratio, threshold=DEFAULT_RATIO_THRESHOLD):
 class SpectrumVerdict:
     flow: int
     ratio: float
-    cutoff_hz: float
-    threshold: float
     verdict: str
     energy: np.ndarray
 
@@ -102,8 +100,6 @@ class ArrivalRecorder:
         return SpectrumVerdict(
             flow=self.flow,
             ratio=ratio,
-            cutoff_hz=cutoff_hz,
-            threshold=threshold,
             verdict=classify_flow(ratio, threshold),
             energy=energy,
         )

@@ -14,10 +14,10 @@ import pytest
 from roqsim.config import RunConfig, config_from_dict
 from roqsim.defense import (
     ATTACKER,
+    BLOCKED,
     NOFINDING,
     NORMAL,
     SUSPECTED,
-    Block,
     CongestionBits,
     MonitorState,
     Thresholds,
@@ -113,7 +113,7 @@ def test_criterion_2_escalation_block_timing():
                 got = None
                 for i, code in enumerate(seq, start=1):
                     acts = monitor_interval(state, obs(code))
-                    if any(isinstance(a, Block) for a in acts):
+                    if any(status == BLOCKED for _, _, status in acts):
                         assert got is None
                         got = i
                 assert got == expected, "%s %s: %s != %s" % (mode, seq, got, expected)

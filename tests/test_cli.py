@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from roqsim import harness
 from roqsim.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -92,6 +93,10 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
         pytest.param('{"seed": 1.5}', "seed", id="seed-float"),
         pytest.param('{"seed": "x"}', "seed", id="seed-string"),
         pytest.param('{"attack": {"period_s": NaN}}', "attack.period_s", id="period-nan"),
+        # each period starts with an arrival: 2 us periods would offer 500k pps
+        pytest.param('{"duration_s": 2, "warmup_s": 1,'
+                     ' "attack": {"period_s": 2e-6, "burst_s": 1e-6}}',
+                     "attack.period_s", id="period-below-packet-spacing"),
         pytest.param('{"attack": {"burst_s": NaN}}', "attack.burst_s", id="burst-nan"),
         pytest.param('{"mlda": {"interval_s": NaN}}', "mlda.interval_s", id="interval-nan"),
         pytest.param('{"phy": {"queue_lifetime_s": "x"}}', "phy.queue_lifetime_s",
@@ -135,6 +140,29 @@ def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):
                           capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("config error: " + field), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "axis, sweep, message",
+    [
+        pytest.param("attackers", {"attacker_counts": [2, -1]},
+                     "sweep.attacker_counts[1]: attack.count must be >= 0", id="attackers"),
+        pytest.param("period", {"periods_s": [0.0, 0.3]},
+                     "sweep.periods_s[1]: attack.burst_s must be shorter", id="period"),
+    ],
+)
+def test_bad_sweep_item_exits_1_before_any_run(tmp_path, monkeypatch, capsys, axis, sweep,
+                                               message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation ran before the sweep items were checked")
+
+    monkeypatch.setattr(harness, "run_simulation", no_run)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"attack": {"burst_s": 0.3}, "sweep": sweep}))
+    out = tmp_path / "results.csv"
+    assert main(["sweep", axis, "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error: " + message)
+    assert not out.exists()
 
 
 def test_calibrate_refuses_attacked_config(config_path, capsys):

@@ -12,11 +12,9 @@ from roqsim.defense import (
     NORMAL,
     STREAK,
     SUSPECTED,
-    Block,
     CongestionBits,
     MonitorState,
     Thresholds,
-    TransmitCB,
     classify_cb,
     compute_cb,
     monitor_interval,
@@ -86,23 +84,27 @@ def drive(state, codes_by_node):
     return monitor_interval(state, bits)
 
 
+def blocked(findings):
+    """Nodes that one interval's findings block."""
+    return {node for node, _, status in findings if status == BLOCKED}
+
+
 def test_streak_blocks_on_three_attacker_intervals():
     state = MonitorState(escalation=STREAK)
-    assert drive(state, {1: "111"}) == [TransmitCB(1, CongestionBits.from_string("111"))]
+    assert drive(state, {1: "111"}) == [(1, CongestionBits.from_string("111"), ATTACKER)]
     drive(state, {1: "111"})
     actions = drive(state, {1: "111"})
-    assert Block(1) in actions
+    assert actions == [(1, CongestionBits.from_string("111"), BLOCKED)]
     assert state.statuses[1].status == BLOCKED
-    assert 1 in state.blocklist
 
 
 def test_streak_blocks_on_four_suspected_intervals():
     state = MonitorState(escalation=STREAK)
     for _ in range(3):
         actions = drive(state, {1: "110"})
-        assert Block(1) not in actions
+        assert 1 not in blocked(actions)
     actions = drive(state, {1: "011"})  # any two-bit code keeps the streak
-    assert Block(1) in actions
+    assert 1 in blocked(actions)
 
 
 def test_normal_interval_resets_streaks():
@@ -112,8 +114,8 @@ def test_normal_interval_resets_streaks():
     drive(state, {1: "100"})  # one-bit finding wipes both streaks
     for _ in range(2):
         actions = drive(state, {1: "111"})
-        assert Block(1) not in actions
-    assert Block(1) in drive(state, {1: "111"})
+        assert 1 not in blocked(actions)
+    assert 1 in blocked(drive(state, {1: "111"}))
 
 
 def test_suspected_preserves_attacker_streak():
@@ -122,14 +124,13 @@ def test_suspected_preserves_attacker_streak():
     drive(state, {1: "110"})  # suspected: attacker streak survives
     drive(state, {1: "111"})
     actions = drive(state, {1: "111"})
-    assert Block(1) in actions  # third attacker finding, suspected in between
+    assert 1 in blocked(actions)  # third attacker finding, suspected in between
 
 
 def test_blocked_node_is_absorbing():
     state = MonitorState(escalation=STREAK)
     for _ in range(3):
         drive(state, {1: "111"})
-    assert 1 in state.blocklist
     assert drive(state, {1: "111"}) == []  # observations ignored once blocked
     assert state.statuses[1].status == BLOCKED
 
@@ -146,13 +147,13 @@ def test_block_resets_surviving_streaks():
     drive(state, {1: "111", 2: "111"})
     drive(state, {1: "111", 2: "110"})
     actions = drive(state, {1: "111", 2: "111"})  # node 1 reaches three
-    assert Block(1) in actions and Block(2) not in actions
+    assert 1 in blocked(actions) and 2 not in blocked(actions)
     assert state.statuses[2].attacker_streak == 0
     assert state.statuses[2].suspected_streak == 0
     drive(state, {2: "111"})
     actions = drive(state, {2: "111"})
-    assert Block(2) not in actions  # needs a fresh run of three
-    assert Block(2) in drive(state, {2: "111"})
+    assert 2 not in blocked(actions)  # needs a fresh run of three
+    assert 2 in blocked(drive(state, {2: "111"}))
 
 
 def test_absolute_mode_interval_three_and_four():
@@ -160,13 +161,13 @@ def test_absolute_mode_interval_three_and_four():
     drive(state, {1: "000"})
     drive(state, {1: "000"})
     actions = drive(state, {1: "111"})  # attacker status at interval 3
-    assert Block(1) in actions
+    assert 1 in blocked(actions)
 
     state = MonitorState(escalation=ABSOLUTE)
     for _ in range(3):
         drive(state, {1: "110"})
     actions = drive(state, {1: "110"})  # suspected status at interval 4
-    assert Block(1) in actions
+    assert 1 in blocked(actions)
 
     state = MonitorState(escalation=ABSOLUTE)
     drive(state, {1: "000"})
@@ -174,7 +175,15 @@ def test_absolute_mode_interval_three_and_four():
     drive(state, {1: "000"})
     drive(state, {1: "000"})
     actions = drive(state, {1: "111"})  # interval 5: the gate has passed
-    assert Block(1) not in actions
+    assert 1 not in blocked(actions)
+
+
+def test_block_without_finding_reports_empty_bits():
+    # absolute mode blocks on the status earlier findings left, whatever this interval saw
+    state = MonitorState(escalation=ABSOLUTE)
+    drive(state, {1: "000", 2: "000"})
+    drive(state, {1: "111", 2: "100"})
+    assert drive(state, {1: "000", 2: "000"}) == [(1, CongestionBits.from_string("000"), BLOCKED)]
 
 
 def test_monitor_state_rejects_unknown_mode():
@@ -220,7 +229,7 @@ def test_escalation_matches_replay_for_all_short_sequences(mode):
             got = None
             for i, code in enumerate(seq, start=1):
                 actions = drive(state, {1: code})
-                if any(isinstance(a, Block) for a in actions):
+                if blocked(actions):
                     assert got is None, "blocked twice for %s" % (seq,)
                     got = i
             assert got == expected, "sequence %s: block at %s, replay says %s" % (

@@ -1,5 +1,7 @@
 """Threshold calibration and the sweep/CSV machinery."""
 
+from dataclasses import replace
+
 import pytest
 
 from roqsim.config import RunConfig, config_from_dict
@@ -71,7 +73,7 @@ def test_resolve_prefers_configured_thresholds():
 def test_run_point_row_is_deterministic():
     cfg = config_from_dict(SMALL)
     th = calibrate_thresholds(attack_free(cfg))
-    args = ("attackers", 2, "mlda", 1, cfg.to_dict() | {"defense": "mlda"}, th)
+    args = ("attackers", 2, "mlda", 1, replace(cfg, defense="mlda"), th)
     row1 = run_point(args)
     row2 = run_point(args)
     assert row1 == row2
