@@ -85,6 +85,8 @@ class Simulator:
         self._heap = []
         self._seqs = itertools.count()
         self._cur_seq = -1
+        self._stamp_us = -1  # trace stamp "seconds.micros\t" of time _stamp_us
+        self._stamp = ""
         self.trace = trace  # file-like object or None
         self.dispatched = 0
 
@@ -111,6 +113,8 @@ class Simulator:
             raise ValueError("run_until into the past")
         heap = self._heap
         trace = self.trace
+        stamp_us = self._stamp_us
+        stamp = self._stamp
         count = 0
         while heap and heap[0][0] <= end_us:
             fire_us, seq, fn, kind, detail = heappop(heap)
@@ -118,10 +122,12 @@ class Simulator:
                 continue
             self.now_us = fire_us
             if trace is not None:
+                if fire_us != stamp_us:  # many events share a timestamp
+                    stamp = "%d.%06d\t" % divmod(fire_us, US_PER_S)
+                    self._stamp_us = stamp_us = fire_us
+                    self._stamp = stamp
                 self._cur_seq = seq  # only trace_line reads it
-                # fmt_time inlined: one format per dispatched event
-                trace.write("%d.%06d\t%d\t%s\t%s\n"
-                            % (fire_us // US_PER_S, fire_us % US_PER_S, seq, kind, detail))
+                trace.write(f"{stamp}{seq}\t{kind}\t{detail}\n")
             fn()
             count += 1
         self.now_us = end_us
@@ -131,6 +137,7 @@ class Simulator:
     def trace_line(self, kind, detail):
         """Emit an extra trace line attributed to the current dispatch."""
         if self.trace is not None:
-            self.trace.write(
-                "%s\t%d\t%s\t%s\n" % (fmt_time(self.now_us), self._cur_seq, kind, detail)
-            )
+            if self._stamp_us != self.now_us:  # outside a dispatch
+                self._stamp_us = self.now_us
+                self._stamp = fmt_time(self.now_us) + "\t"
+            self.trace.write(f"{self._stamp}{self._cur_seq}\t{kind}\t{detail}\n")

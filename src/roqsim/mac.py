@@ -261,7 +261,7 @@ class Station:
         self._attempt_h = None
         self._start_h = None
         self._nav_h = None
-        self._timeout_h = None
+        self._exchange_h = None  # own exchange: CTS/ACK timeout, or DATA due after a CTS
         self._resp_h = None
         self._awaiting = None
         medium.register(self)
@@ -292,8 +292,10 @@ class Station:
     def disable(self):
         """Deassociate: cease all transmission and drop everything queued.
 
-        A frame already in the air completes (it cannot be recalled); its
-        exchange dies because the timeout handle is cancelled here.
+        Every pending step of the station's own exchanges is cancelled: the
+        contention timers, a CTS/ACK timeout, a DATA due SIFS after a CTS and
+        a CTS/ACK response.  A frame already in the air completes (it cannot
+        be recalled), but its exchange dies.
         """
         if self.disabled:
             return
@@ -301,10 +303,10 @@ class Station:
         now = self.sim.now_us
         self.checkpoint_freeze(now)
         self._leave_contend()
-        for h in (self._timeout_h, self._resp_h):
+        for h in (self._exchange_h, self._resp_h):
             if h is not None:
                 h.cancel()
-        self._timeout_h = self._resp_h = None
+        self._exchange_h = self._resp_h = None
         self._awaiting = None
         self._frozen_since = None
         self.state = IDLE
@@ -435,7 +437,7 @@ class Station:
         )
         self.medium.transmit(self.node_id, rts, self.phy.rts_us)
         self._awaiting = CTS
-        self._timeout_h = self.sim.schedule(
+        self._exchange_h = self.sim.schedule(
             now + self.phy.rts_us + self.phy.cts_timeout_us, "cts_timeout", self._on_exchange_timeout
         )
 
@@ -447,7 +449,7 @@ class Station:
         air = self.phy.data_us(head.payload_bits)
         self.medium.transmit(self.node_id, head, air)
         self._awaiting = ACK
-        self._timeout_h = self.sim.schedule(
+        self._exchange_h = self.sim.schedule(
             now + air + self.phy.ack_timeout_us, "ack_timeout", self._on_exchange_timeout
         )
 
@@ -459,7 +461,7 @@ class Station:
         """Missing CTS or ACK: count a retransmission, back off, retry or drop."""
         if self.disabled:
             return
-        self._timeout_h = None
+        self._exchange_h = None
         self._awaiting = None
         now = self.sim.now_us
         self.counters.retrans += 1
@@ -523,11 +525,12 @@ class Station:
             )
         elif kind == CTS:
             if self._awaiting == CTS and self.queue and frame.src == self.queue[0].dst:
-                if self._timeout_h is not None:
-                    self._timeout_h.cancel()
-                    self._timeout_h = None
+                if self._exchange_h is not None:
+                    self._exchange_h.cancel()
                 self._awaiting = None
-                self.sim.schedule(now + self.phy.sifs_us, "data_tx", self._tx_data)
+                self._exchange_h = self.sim.schedule(
+                    now + self.phy.sifs_us, "data_tx", self._tx_data
+                )
         elif kind == DATA:
             if self.blocklist is not None and frame.src in self.blocklist:
                 return
@@ -542,9 +545,9 @@ class Station:
                     self.on_data_rx(frame, now)
         elif kind == ACK:
             if self._awaiting == ACK:
-                if self._timeout_h is not None:
-                    self._timeout_h.cancel()
-                    self._timeout_h = None
+                if self._exchange_h is not None:
+                    self._exchange_h.cancel()
+                    self._exchange_h = None
                 self._exchange_success()
 
     def _nav_reset_check(self, rts_end_us):

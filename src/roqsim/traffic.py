@@ -219,6 +219,7 @@ class PulsedSource:
 
     Arrivals are evenly spaced inside the burst.  Optional jitter shifts each
     burst start by a per-period uniform draw from the node's own stream.
+    Once the station is disabled (blocked) the source offers nothing more.
     """
 
     def __init__(self, sim, station, dst, period_s, burst_s, rate_pps, packet_bits,
@@ -271,6 +272,8 @@ class PulsedSource:
         self.sim.schedule(t, "pulse_arrival", self._on_arrival)
 
     def _on_arrival(self):
+        if self.station.disabled:  # blocked: the source stops for good
+            return
         frame = Frame(DATA, self.station.node_id, self.dst, self.packet_bits, seq_no=self.next_seq)
         self.next_seq += 1
         self.arrivals += 1

@@ -165,6 +165,27 @@ def test_bad_sweep_item_exits_1_before_any_run(tmp_path, monkeypatch, capsys, ax
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "seed, escalation, blocked",
+    [
+        pytest.param(219, "streak", "[3, 4, 5, 6, 7, 8, 9, 10]", id="seed219-streak"),
+        pytest.param(106, "absolute", "[3, 4, 5, 7, 8]", id="seed106-absolute"),
+    ],
+)
+def test_block_between_cts_and_data_exits_0(tmp_path, capsys, seed, escalation, blocked):
+    # each run blocks an attacker in the SIFS gap between its CTS and its DATA,
+    # which used to end in an IndexError traceback; exit 0 also means the
+    # conservation audit balanced (an imbalance exits 2)
+    cfg = {"duration_s": 12.0, "warmup_s": 2.0, "defense": "mlda", "seed": seed,
+           "attack": {"count": 8},
+           "mlda": {"rc_th": 45.0, "se_th_s": 0.0510939, "re_th": 3.0,
+                    "escalation": escalation}}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 0
+    assert " blocked=%s false_blocks=0" % blocked in capsys.readouterr().out
+
+
 def test_calibrate_refuses_attacked_config(config_path, capsys):
     # thresholds learned under attack would bake the anomaly into the baseline
     assert main(["calibrate", "--config", config_path]) == 2

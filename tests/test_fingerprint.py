@@ -4,6 +4,10 @@ trace, the detections CSV and a sweep's results CSV.
 The trace lists every dispatched event with its fire time, sequence number,
 kind and detail, so its digest pins the whole event stream, not only the
 results.  A change that alters any of these bytes must say so and re-pin.
+
+The trace's frame and block lines without their seq column are pinned on
+their own: they are what went on air and whom the defense blocked, and stay
+put when only the internal timers or the event count change.
 """
 
 import hashlib
@@ -13,7 +17,9 @@ from roqsim.cli import main
 
 TRACED_RUN = {"duration_s": 20.0, "seed": 3, "defense": "mlda", "attack": {"count": 4}}
 TRACED_STDOUT_SHA256 = "8ff6f35256186536342d0d339f112104382c13f2e9a66d85d76a269d21acdcc2"
-TRACE_SHA256 = "aa044cab08408e290e4ce11af132fa05accfdd4ce622bcc07f169506020a63ef"
+TRACE_SHA256 = "2eb97af030ee772e7718edcace1deb0bf146ffbb68a3702269c6466d40b42db0"
+TRACE_FRAME_BLOCK_LINES = 8039
+TRACE_FRAME_BLOCK_SHA256 = "b9527a4df177fe41744d0e1998b8804978ae261119ac9649364fb4c5e4f86b23"
 TRACED_DETECTIONS_SHA256 = "e1ab9759e6e0ca10b30a2efb54d5f128076be6f93237b666908cc90779b53b77"
 
 # absolute escalation, staggered attackers that zero their stamped bits
@@ -32,6 +38,16 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _frame_block_lines(trace):
+    """The trace's frame and block lines as time\tkind\tdetail, seq dropped."""
+    lines = []
+    for line in trace.decode().splitlines():
+        time, _seq, kind, detail = line.split("\t", 3)
+        if kind == "frame" or kind == "block":
+            lines.append(f"{time}\t{kind}\t{detail}\n")
+    return lines
+
+
 def _write_config(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -45,6 +61,9 @@ def test_traced_run_stdout_and_trace_are_pinned(tmp_path, capsys):
                "--detections", str(detections)])
     assert rc == 0
     assert _sha256(capsys.readouterr().out.encode()) == TRACED_STDOUT_SHA256
+    projection = _frame_block_lines(trace.read_bytes())
+    assert len(projection) == TRACE_FRAME_BLOCK_LINES
+    assert _sha256("".join(projection).encode()) == TRACE_FRAME_BLOCK_SHA256
     assert _sha256(trace.read_bytes()) == TRACE_SHA256
     assert _sha256(detections.read_bytes()) == TRACED_DETECTIONS_SHA256
 

@@ -6,6 +6,8 @@ DATA(8000 payload + 224 header) 4112 us, so a full four-way exchange takes
 80 + 10 + 56 + 10 + 4112 + 10 + 56 = 4334 us after the RTS starts.
 """
 
+import io
+
 import pytest
 
 from roqsim.config import PhySection
@@ -253,6 +255,43 @@ def test_disable_drains_queue_and_silences_station():
     assert done[-1][:2] == (4, OUT_BLOCKED_DROP)
     sim.run_until(100_000)
     assert medium.last_tx_start == -1  # never transmitted anything
+
+
+def test_disable_between_cts_and_data_cancels_the_data():
+    # backoff 0: RTS at 50-130, CTS at 140-196, DATA due at 206; blocked at 200
+    sim, phy, medium, ap = make_cell()
+    done = []
+    st = Station(sim, medium, phy, 1, ScriptedRng())
+    st.on_copy_done = collector(done)
+    st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=1))
+    sim.schedule(200, "block", st.disable)
+    sim.run_until(10_000)
+    assert done == [(1, OUT_BLOCKED_DROP, 200)]
+    assert medium.last_tx_start == 140  # the CTS was the last frame on air
+    assert ap.counters.rts_cts == 1 and st.counters.rts_cts == 1
+
+
+# backoff 3: DIFS to 50, slots to 110, RTS 110-190, CTS 200-256, DATA 266-4378,
+# ACK 4388-4444; every phase of the exchange, blocked at each
+@pytest.mark.parametrize("block_us", [30, 80, 150, 195, 260, 2_000, 4_380, 4_420])
+def test_disable_cancels_every_pending_step_of_the_station(block_us):
+    sim, phy, medium, ap = make_cell()
+    sim.trace = io.StringIO()
+    done = []
+    st = Station(sim, medium, phy, 1, ScriptedRng([3]))
+    st.on_copy_done = collector(done)
+    st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=1))
+    sim.schedule(block_us, "block", st.disable)
+    sim.run_until(20_000)
+    assert done == [(1, OUT_BLOCKED_DROP, block_us)]
+    # only the AP (idle, nothing queued) may still answer a frame in the air
+    own = {"difs_end", "attempt", "nav_expire", "cts_timeout", "data_tx", "ack_timeout"}
+    late = []
+    for line in sim.trace.getvalue().splitlines():
+        time, _seq, kind, _detail = line.split("\t")
+        if kind in own and int(time.replace(".", "")) > block_us:
+            late.append(line)
+    assert late == []
 
 
 def test_queue_cap_overflow():

@@ -6,6 +6,7 @@ import pytest
 
 from roqsim.config import config_from_dict
 from roqsim.defense import Thresholds
+from roqsim.mac import OUT_BLOCKED_DROP
 from roqsim.runner import SimulationRun, run_simulation
 
 # explicit detection thresholds so these tests skip the calibration run
@@ -67,6 +68,27 @@ def test_mlda_blocks_attackers_and_spares_victims():
     run = SimulationRun(cfg(defense="mlda"), thresholds=TH)
     run.execute()
     assert all(run.stations[n].disabled for n in attackers)
+
+
+def test_blocked_attacker_sources_stop_at_the_block():
+    run = SimulationRun(cfg(defense="mlda"), thresholds=TH)
+    at_block = {}  # node -> (arrivals, copies queued) when the block lands
+    block = run._block
+
+    def spy(node, detail):
+        queued = len(run.stations[node].queue)
+        block(node, detail)
+        at_block[node] = (run.pulsed_sources[node].arrivals, queued)
+
+    run._block = spy
+    result = run.execute()  # the conservation audit runs here
+    assert sorted(at_block) == sorted(run.attacker_nodes)
+    for node, (arrivals, queued) in at_block.items():
+        assert run.pulsed_sources[node].arrivals == arrivals
+        fs = result.flows[node]
+        assert fs.sent_pkts == arrivals
+        # the only blocked drops are the copies the block drained
+        assert fs.drop_causes[OUT_BLOCKED_DROP] == queued
 
 
 def test_mlda_recovers_legit_bandwidth():

@@ -25,6 +25,7 @@ class FakeStation:
         self.sim = sim
         self.queue = []
         self.sent = []
+        self.disabled = False
 
     def enqueue(self, frame):
         if self.sim is not None:
@@ -250,3 +251,17 @@ def test_pulsed_source_disabled_when_period_zero():
     src.start()
     sim.run_until(5_000_000)
     assert st.sent == []
+
+
+def test_pulsed_source_stops_once_station_is_disabled():
+    sim = Simulator(seed=0)
+    st = FakeStation(sim=sim)
+    src = PulsedSource(sim, st, 0, period_s=1.0, burst_s=0.1, rate_pps=50,
+                       packet_bits=8000)
+    src.start()
+    sim.run_until(1_030_000)  # first burst and two arrivals of the second
+    st.disabled = True
+    sim.run_until(5_000_000)
+    assert src.arrivals == 7 and len(st.sent) == 7
+    assert sim.dispatched == 8  # the arrival due after the block finds it and stops
+    assert not sim._heap  # nothing rescheduled
