@@ -90,6 +90,9 @@ def main(argv=None):
     except (ValueError, AssertionError, OSError) as exc:
         print("run failed: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect: report it without a traceback
+        print("run failed: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

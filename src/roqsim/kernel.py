@@ -41,17 +41,27 @@ class RandomSource:
 
     def __init__(self, seed):
         self.seed = seed & _MASK64
-        self._rng = random.Random(_mix64(self.seed))
+        self._getrandbits = random.Random(_mix64(self.seed)).getrandbits
 
     def fork(self, stream_id):
         child = _mix64(self.seed ^ _mix64((stream_id + 1) & _MASK64))
         return RandomSource(child)
 
     def uniform_int(self, lo, hi):
-        """Integer uniform on the closed range [lo, hi]."""
-        if lo > hi:
+        """Integer uniform on the closed range [lo, hi].
+
+        Rejection sampling: draw n.bit_length() bits until the value is below
+        n = hi - lo + 1.  That is the loop random.randint runs, so the draws
+        equal randint's draw for draw.
+        """
+        n = hi - lo + 1
+        if n <= 0:
             raise ValueError("uniform_int: empty range [%d, %d]" % (lo, hi))
-        return self._rng.randint(lo, hi)
+        k = n.bit_length()
+        r = self._getrandbits(k)
+        while r >= n:
+            r = self._getrandbits(k)
+        return lo + r
 
 
 class EventHandle(list):

@@ -55,6 +55,7 @@ class PhyParams:
         "cts_timeout_us",
         "ack_timeout_us",
         "nav_reset_us",
+        "_tails",
     )
 
     def __init__(self, section=None):
@@ -79,6 +80,7 @@ class PhyParams:
         self.ack_timeout_us = s.sifs_us + self.ack_us + 2 * s.slot_us
         # hearing an RTS reserves the medium; release it if no CTS follows
         self.nav_reset_us = s.sifs_us + self.cts_us + 2 * s.slot_us
+        self._tails = {}  # exchange_tail_us by payload size
 
     def airtime_us(self, bits):
         return (bits * 1_000_000 + self.rate_bps - 1) // self.rate_bps
@@ -88,7 +90,11 @@ class PhyParams:
 
     def exchange_tail_us(self, payload_bits):
         """NAV an RTS must reserve: the rest of the four-way handshake."""
-        return 3 * self.sifs_us + self.cts_us + self.data_us(payload_bits) + self.ack_us
+        tail = self._tails.get(payload_bits)
+        if tail is None:
+            tail = 3 * self.sifs_us + self.cts_us + self.data_us(payload_bits) + self.ack_us
+            self._tails[payload_bits] = tail
+        return tail
 
 
 class Frame:
@@ -210,11 +216,8 @@ class Medium:
                         if nav > st.nav_until:
                             st.nav_until = nav
                         if kind == RTS:
-                            sim.schedule(
-                                now + st.phy.nav_reset_us,
-                                "nav_reset_check",
-                                lambda st=st, t=now: st._nav_reset_check(t),
-                            )
+                            sim.schedule(now + st.phy.nav_reset_us, "nav_reset_check",
+                                         st._nav_reset_check)
         if not active:
             for st in self._by_id:
                 if st.state is CONTEND:
@@ -262,7 +265,8 @@ class Station:
         self._start_h = None
         self._nav_h = None
         self._exchange_h = None  # own exchange: CTS/ACK timeout, or DATA due after a CTS
-        self._resp_h = None
+        self._resp_h = None  # own CTS/ACK response due SIFS after the frame it answers
+        self._resp_frame = None  # the frame _resp_h sends
         self._awaiting = None
         medium.register(self)
 
@@ -323,9 +327,12 @@ class Station:
         self.resume_contention(now)
 
     def _leave_contend(self):
-        for h in (self._attempt_h, self._start_h, self._nav_h):
-            if h is not None:
-                h.cancel()
+        if self._attempt_h is not None:
+            self._attempt_h.cancel()
+        if self._start_h is not None:
+            self._start_h.cancel()
+        if self._nav_h is not None:
+            self._nav_h.cancel()
         self._attempt_h = self._start_h = self._nav_h = None
         self._counting = False
 
@@ -418,27 +425,20 @@ class Station:
         self._frozen_since = None
         now = self.sim.now_us
         self.backoff_rem = 0
+        self._leave_contend()
         self._drop_stale_head(now)
         if not self.queue:
-            self._leave_contend()
             self.state = IDLE
             return
         head = self.queue[0]
-        self._leave_contend()
         self.state = TXSEQ
-        rts = Frame(
-            RTS,
-            self.node_id,
-            head.dst,
-            0,
-            cb=self.stamp_cb,
-            duration_us=self.phy.exchange_tail_us(head.payload_bits),
-            seq_no=head.seq_no,
-        )
-        self.medium.transmit(self.node_id, rts, self.phy.rts_us)
+        phy = self.phy
+        rts = Frame(RTS, self.node_id, head.dst, 0, self.stamp_cb,
+                    phy.exchange_tail_us(head.payload_bits), head.seq_no)
+        self.medium.transmit(self.node_id, rts, phy.rts_us)
         self._awaiting = CTS
         self._exchange_h = self.sim.schedule(
-            now + self.phy.rts_us + self.phy.cts_timeout_us, "cts_timeout", self._on_exchange_timeout
+            now + phy.rts_us + phy.cts_timeout_us, "cts_timeout", self._on_exchange_timeout
         )
 
     def _tx_data(self):
@@ -453,9 +453,13 @@ class Station:
             now + air + self.phy.ack_timeout_us, "ack_timeout", self._on_exchange_timeout
         )
 
-    def _tx_response(self, frame, air):
+    def _tx_cts(self):
         self._resp_h = None
-        self.medium.transmit(self.node_id, frame, air)
+        self.medium.transmit(self.node_id, self._resp_frame, self.phy.cts_us)
+
+    def _tx_ack(self):
+        self._resp_h = None
+        self.medium.transmit(self.node_id, self._resp_frame, self.phy.ack_us)
 
     def _on_exchange_timeout(self):
         """Missing CTS or ACK: count a retransmission, back off, retry or drop."""
@@ -510,19 +514,11 @@ class Station:
                 return
             if self._resp_h is not None:
                 return
-            cts = Frame(
-                CTS,
-                self.node_id,
-                frame.src,
-                0,
-                duration_us=max(frame.duration_us - self.phy.sifs_us - self.phy.cts_us, 0),
-                seq_no=frame.seq_no,
-            )
-            self._resp_h = self.sim.schedule(
-                now + self.phy.sifs_us,
-                "cts_tx",
-                lambda f=cts: self._tx_response(f, self.phy.cts_us),
-            )
+            phy = self.phy
+            self._resp_frame = Frame(CTS, self.node_id, frame.src, 0, "000",
+                                     max(frame.duration_us - phy.sifs_us - phy.cts_us, 0),
+                                     frame.seq_no)
+            self._resp_h = self.sim.schedule(now + phy.sifs_us, "cts_tx", self._tx_cts)
         elif kind == CTS:
             if self._awaiting == CTS and self.queue and frame.src == self.queue[0].dst:
                 if self._exchange_h is not None:
@@ -535,12 +531,8 @@ class Station:
             if self.blocklist is not None and frame.src in self.blocklist:
                 return
             if self._resp_h is None:
-                ack = Frame(ACK, self.node_id, frame.src, 0, seq_no=frame.seq_no)
-                self._resp_h = self.sim.schedule(
-                    now + self.phy.sifs_us,
-                    "ack_tx",
-                    lambda f=ack: self._tx_response(f, self.phy.ack_us),
-                )
+                self._resp_frame = Frame(ACK, self.node_id, frame.src, 0, "000", 0, frame.seq_no)
+                self._resp_h = self.sim.schedule(now + self.phy.sifs_us, "ack_tx", self._tx_ack)
                 if self.on_data_rx is not None:
                     self.on_data_rx(frame, now)
         elif kind == ACK:
@@ -550,10 +542,13 @@ class Station:
                     self._exchange_h = None
                 self._exchange_success()
 
-    def _nav_reset_check(self, rts_end_us):
-        """Release the NAV an overheard RTS set if its handshake died (no CTS)."""
-        if self.medium.last_tx_start <= rts_end_us and not self.medium._active:
-            now = self.sim.now_us
+    def _nav_reset_check(self):
+        """Release the NAV an overheard RTS set if its handshake died (no CTS).
+
+        Runs nav_reset_us after the RTS ended: no frame may have started since.
+        """
+        now = self.sim.now_us
+        if self.medium.last_tx_start <= now - self.phy.nav_reset_us and not self.medium._active:
             if self.nav_until > now:
                 self.nav_until = now
                 if self.state == CONTEND:

@@ -12,6 +12,7 @@ import pytest
 
 from roqsim import harness
 from roqsim.cli import main
+from roqsim.runner import SimulationRun
 
 REPO = Path(__file__).resolve().parents[1]
 SMALL = {
@@ -184,6 +185,25 @@ def test_block_between_cts_and_data_exits_0(tmp_path, capsys, seed, escalation, 
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path)]) == 0
     assert " blocked=%s false_blocks=0" % blocked in capsys.readouterr().out
+
+
+def test_crash_exits_2_without_a_traceback(config_path, monkeypatch, capsys):
+    # a defect in the simulator is a run failure, not a configuration error
+    def crash(run):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(SimulationRun, "execute", crash)
+    assert main(["run", "--config", config_path]) == 2
+    assert capsys.readouterr().err == "run failed: RuntimeError: boom\n"
+
+
+def test_keyboard_interrupt_still_propagates(config_path, monkeypatch):
+    def interrupted(run):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(SimulationRun, "execute", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", config_path])
 
 
 def test_calibrate_refuses_attacked_config(config_path, capsys):

@@ -1,10 +1,11 @@
 """Event loop, virtual clock, and seeded RNG behaviour."""
 
 import io
+import random
 
 import pytest
 
-from roqsim.kernel import RandomSource, Simulator, fmt_time, to_us
+from roqsim.kernel import RandomSource, Simulator, _mix64, fmt_time, to_us
 
 
 def test_to_us_rounds_to_nearest():
@@ -199,3 +200,19 @@ def test_uniform_int_bounds_and_errors():
     assert rng.uniform_int(5, 5) == 5
     with pytest.raises(ValueError):
         rng.uniform_int(6, 5)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 0), (0, 7), (0, 31), (0, 1023), (-5000, 5000), (0, 10**9), (0, 2**70)])
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_uniform_int_draws_equal_randint(lo, hi, seed):
+    # uniform_int runs randint's getrandbits rejection loop itself; the draws
+    # (and so every pinned digest) must not move.  The (0, 1023) draw between
+    # two draws shows that both consumed the same bits, even where lo == hi.
+    ours = RandomSource(seed)
+    theirs = random.Random(_mix64(seed))
+    assert [(ours.uniform_int(lo, hi), ours.uniform_int(0, 1023)) for _ in range(200)] == [
+        (theirs.randint(lo, hi), theirs.randint(0, 1023)) for _ in range(200)
+    ]
+    with pytest.raises(ValueError):
+        ours.uniform_int(hi + 1, hi)

@@ -6,6 +6,7 @@ import pytest
 
 from roqsim.config import config_from_dict
 from roqsim.defense import Thresholds
+from roqsim.kernel import Simulator
 from roqsim.mac import OUT_BLOCKED_DROP
 from roqsim.runner import SimulationRun, run_simulation
 
@@ -170,3 +171,27 @@ def test_per_class_conservation_balances():
             1 for f in run.stations[node].queue if f.src == node
         )
         assert fs.sent_pkts == fs.delivered_pkts + fs.dropped_pkts + held_pkts
+
+
+def test_every_event_callback_is_defined_in_roqsim(monkeypatch):
+    # perfbench charges each event's time to its callback's __module__; a
+    # callback built elsewhere (a functools.partial, say) would go unattributed
+    seen = set()
+    schedule = Simulator.schedule
+
+    def spy(sim, fire_us, kind, fn, detail=""):
+        seen.add((kind, getattr(fn, "__module__", None)))
+        return schedule(sim, fire_us, kind, fn, detail)
+
+    monkeypatch.setattr(Simulator, "schedule", spy)
+    for defense in ("mlda", "shrew"):
+        run_simulation(cfg(duration_s=12.0, warmup_s=2.0, defense=defense,
+                           shrew={"window_bins": 128}), thresholds=TH)
+    # every event kind of the simulator, the exchange responses included
+    assert {kind for kind, _ in seen} == {
+        "difs_end", "attempt", "nav_reset_check", "nav_expire", "frame_end",
+        "pulse_arrival", "app_arrival", "tcp_rto", "cts_timeout", "ack_timeout",
+        "cts_tx", "data_tx", "ack_tx", "interval_rollover", "spectral_verdict",
+    }
+    outside = sorted(pair for pair in seen if not (pair[1] or "").startswith("roqsim."))
+    assert outside == []
