@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from .config import DEFENSE_MLDA, DEFENSE_NONE, DEFENSE_SHREW, ConfigError
 from .defense import Thresholds
+from .kernel import to_us
 from .metrics import packet_loss
 from .runner import run_simulation
 
@@ -60,13 +61,23 @@ def calibrate_thresholds(config):
     """Measure attack-free per-interval counter means and scale them.
 
     Refuses configs with an active attack: thresholds learned under attack
-    would bake the anomaly into the baseline.
+    would bake the anomaly into the baseline.  A config whose first
+    monitoring interval after warm-up ends past duration_s is a ConfigError,
+    raised before the calibration run.
     """
     if config.attack_enabled():
         raise ValueError("calibration requires an attack-free config")
     cfg = attack_free(config)
+    # the intervals sampled are those that end after warm-up
+    interval_us = to_us(cfg.mlda.interval_s)
+    first = to_us(cfg.warmup_s) // interval_us + 1
+    if first * interval_us > to_us(cfg.duration_s):
+        raise ConfigError(
+            "mlda.interval_s: no interval of %g s ends after warmup_s %g and by duration_s %g,"
+            " so calibration has nothing to sample"
+            % (cfg.mlda.interval_s, cfg.warmup_s, cfg.duration_s)
+        )
     result = run_simulation(cfg)
-    first = int(cfg.warmup_s / cfg.mlda.interval_s) + 1
     legit = set(cfg.legit_nodes())
     rc, se, re = [], [], []
     for rec in result.interval_records:

@@ -6,6 +6,21 @@ nobody.  Data transfer always runs the four-way handshake
 RTS -> CTS -> DATA -> ACK with SIFS gaps; contention uses DIFS plus slotted
 binary-exponential backoff that freezes while the channel is sensed busy.
 
+A station's state follows its own exchange: idle (nothing queued) ->
+contend (DIFS, then the backoff) -> wait_cts (RTS sent) -> txseq (CTS
+heard, DATA due SIFS later) -> wait_ack (DATA sent).  A missing CTS or ACK,
+or a delivered frame with more queued, leads back to contend with a fresh
+backoff; an empty queue leads to idle.  Timer invariants:
+
+- _access_h, the pending difs_end or attempt, and _nav_h, the pending
+  nav_expire, live only while the station contends: _leave_contend cancels
+  both on the two ways out of contend, the attempt and disable().
+- _count_start is set only while the backoff counts down towards an attempt.
+- When the medium turns busy a pending DIFS is always cancelled; an attempt
+  due at that same instant still fires, so two such RTS collide.
+- _exchange_h is the station's own next exchange step (CTS or ACK timeout,
+  or the DATA due); _resp_h is the CTS or ACK it owes another station.
+
 Per station and per monitoring interval three counters accumulate: clean
 RTS/CTS frames heard, microseconds of frozen backoff, and retransmissions.
 """
@@ -22,7 +37,9 @@ ACK = "ACK"
 
 IDLE = "idle"
 CONTEND = "contend"
-TXSEQ = "txseq"
+WAIT_CTS = "wait_cts"
+TXSEQ = "txseq"  # CTS heard, DATA due
+WAIT_ACK = "wait_ack"
 
 OUT_DELIVERED = "delivered"
 OUT_RETRY_DROP = "retry_drop"
@@ -145,24 +162,26 @@ class IntervalCounters:
         )
 
 
+def _noop(*_args):
+    """Default for every callback hook: nothing listens."""
+
+
 class Medium:
     """Shared single-cell channel tracking overlapping transmissions."""
 
     def __init__(self, sim):
         self.sim = sim
-        self.stations = {}
-        self._order = []  # stations in registration order: reception order
-        self._by_id = []  # stations by node id: busy/idle notification order
+        # by node id: the order stations receive frames and hear busy/idle
+        self._stations = []
         self._active = []
         self.last_tx_start = -1
-        self.on_clean_frame = None  # monitor tap: fn(frame, now_us)
+        self.on_clean_frame = _noop  # monitor tap: fn(frame, now_us)
 
     def register(self, station):
-        if station.node_id in self.stations:
+        if any(st.node_id == station.node_id for st in self._stations):
             raise ValueError("duplicate node id %d" % station.node_id)
-        self.stations[station.node_id] = station
-        self._order.append(station)
-        self._by_id = sorted(self._order, key=lambda st: st.node_id)
+        self._stations.append(station)
+        self._stations.sort(key=lambda st: st.node_id)
 
     def transmit(self, src_id, frame, air_us):
         now = self.sim.now_us
@@ -177,7 +196,7 @@ class Medium:
         self.sim.schedule(now + air_us, "frame_end", lambda r=rec: self._end(r))
         if len(active) == 1:
             # the medium just turned busy: contending stations freeze
-            for st in self._by_id:
+            for st in self._stations:
                 if st.state is CONTEND:
                     st.on_medium_busy(now)
 
@@ -188,8 +207,7 @@ class Medium:
         sim = self.sim
         now = sim.now_us
         if not corrupted:
-            if self.on_clean_frame is not None:
-                self.on_clean_frame(frame, now)
+            self.on_clean_frame(frame, now)
             kind = frame.kind
             dst = frame.dst
             if sim.trace is not None:
@@ -202,8 +220,8 @@ class Medium:
             nav = now + frame.duration_us if frame.duration_us > 0 else 0
             # Overheard frames only count, extend the NAV and, after an RTS,
             # arm the NAV release; the addressee handles its frame in receive().
-            # Stations go in registration order, so events keep their seq order.
-            for st in self._order:
+            # Stations go in node-id order, so events keep their seq order.
+            for st in self._stations:
                 node = st.node_id
                 if node == src_id:
                     continue
@@ -219,7 +237,7 @@ class Medium:
                             sim.schedule(now + st.phy.nav_reset_us, "nav_reset_check",
                                          st._nav_reset_check)
         if not active:
-            for st in self._by_id:
+            for st in self._stations:
                 if st.state is CONTEND:
                     st.resume_contention(now)
 
@@ -230,8 +248,8 @@ class Station:
     aggressive=True keeps the contention window pinned at its base on failures
     (greedy senders that never yield); cw_base overrides that base so a greedy
     sender can contend with shorter backoffs than compliant stations.  A
-    station with a blocklist attached acts as the access point: it refuses CTS
-    to blocked sources and discards their DATA.  disable() models
+    station with a non-empty blocklist acts as the access point: it refuses
+    CTS to blocked sources and discards their DATA.  disable() models
     deassociation: the station stops transmitting entirely.
     """
 
@@ -254,20 +272,17 @@ class Station:
         self.nav_until = 0
         self.counters = IntervalCounters()
         self.stamp_cb = "000"  # congestion bits stamped into outgoing RTS/DATA
-        self.blocklist = None  # set of node ids (access point only)
-        self.on_data_rx = None  # fn(frame, now_us): clean DATA addressed to me
-        self.on_copy_done = None  # fn(frame, outcome, now_us): sender-side ledger
-        self.on_enqueue = None  # fn(frame, now_us): fires for every copy offered
-        self._counting = False
-        self._count_start = 0
+        self.blocklist = frozenset()  # node ids refused (the access point's set)
+        self.on_data_rx = _noop  # fn(frame, now_us): clean DATA addressed to me
+        self.on_copy_done = _noop  # fn(frame, outcome, now_us): sender-side ledger
+        self.on_enqueue = _noop  # fn(frame, now_us): fires for every copy offered
+        self._access_h = None  # pending difs_end or attempt
+        self._count_start = None  # when the backoff countdown began
         self._frozen_since = None
-        self._attempt_h = None
-        self._start_h = None
         self._nav_h = None
         self._exchange_h = None  # own exchange: CTS/ACK timeout, or DATA due after a CTS
         self._resp_h = None  # own CTS/ACK response due SIFS after the frame it answers
         self._resp_frame = None  # the frame _resp_h sends
-        self._awaiting = None
         medium.register(self)
 
     # -- queueing ---------------------------------------------------------
@@ -276,21 +291,16 @@ class Station:
         """Accept a DATA frame for transmission; returns False on overflow."""
         now = self.sim.now_us
         frame.enqueued_us = now
-        if self.on_enqueue is not None:
-            self.on_enqueue(frame, now)
+        self.on_enqueue(frame, now)
         if self.disabled:
-            if self.on_copy_done is not None:
-                self.on_copy_done(frame, OUT_BLOCKED_DROP, now)
+            self.on_copy_done(frame, OUT_BLOCKED_DROP, now)
             return False
         if self.queue_cap is not None and len(self.queue) >= self.queue_cap:
-            if self.on_copy_done is not None:
-                self.on_copy_done(frame, OUT_OVERFLOW_DROP, now)
+            self.on_copy_done(frame, OUT_OVERFLOW_DROP, now)
             return False
         self.queue.append(frame)
-        if self.state == IDLE:
-            self.retry = 0
-            self.backoff_rem = self.rng.uniform_int(0, self.cw)
-            self._enter_contend(now)
+        if self.state is IDLE:  # retry is 0: every way to idle resets it or disables
+            self._next_exchange(now)
         return True
 
     def disable(self):
@@ -311,83 +321,80 @@ class Station:
             if h is not None:
                 h.cancel()
         self._exchange_h = self._resp_h = None
-        self._awaiting = None
-        self._frozen_since = None
         self.state = IDLE
         while self.queue:
-            copy = self.queue.popleft()
-            if self.on_copy_done is not None:
-                self.on_copy_done(copy, OUT_BLOCKED_DROP, now)
+            self.on_copy_done(self.queue.popleft(), OUT_BLOCKED_DROP, now)
+
+    def _pop_head(self, outcome, now):
+        """The head copy is done with: report it and reset the window."""
+        copy = self.queue.popleft()
+        self.cw = self.cw_base
+        self.retry = 0
+        self.on_copy_done(copy, outcome, now)
 
     # -- contention -------------------------------------------------------
 
-    def _enter_contend(self, now):
+    def _next_exchange(self, now):
+        """Contend for the queue head with a fresh backoff, or go idle."""
+        if not self.queue:
+            self.state = IDLE
+            return
+        self.backoff_rem = self.rng.uniform_int(0, self.cw)
         self.state = CONTEND
-        self._frozen_since = None
         self.resume_contention(now)
 
     def _leave_contend(self):
-        if self._attempt_h is not None:
-            self._attempt_h.cancel()
-        if self._start_h is not None:
-            self._start_h.cancel()
+        if self._access_h is not None:
+            self._access_h.cancel()
         if self._nav_h is not None:
             self._nav_h.cancel()
-        self._attempt_h = self._start_h = self._nav_h = None
-        self._counting = False
+        self._access_h = self._nav_h = self._count_start = self._frozen_since = None
 
     def resume_contention(self, now):
         """Contend from now on: freeze while the medium or the NAV is busy, else
         count DIFS then the remaining backoff.  The medium calls this for every
         contending station when it turns idle."""
-        if self.medium._active:
+        busy = self.medium._active
+        if busy or self.nav_until > now:
             if self._frozen_since is None:
                 self._frozen_since = now
-            return
-        if self.nav_until > now:
-            if self._frozen_since is None:
-                self._frozen_since = now
-            if self._nav_h is None or self._nav_h.cancelled:
+            if not busy and self._nav_h is None:
                 self._nav_h = self.sim.schedule(self.nav_until, "nav_expire", self._on_nav_wake)
             return
         if self._frozen_since is not None:
             self.counters.busy_stop_us += now - self._frozen_since
             self._frozen_since = None
-        if self._counting or self._start_h is not None:
-            return
-        self._start_h = self.sim.schedule(now + self.phy.difs_us, "difs_end", self._on_count_start)
+        if self._access_h is None:
+            self._access_h = self.sim.schedule(now + self.phy.difs_us, "difs_end",
+                                               self._on_difs_end)
 
     def _on_nav_wake(self):
         self._nav_h = None
-        if self.state == CONTEND:
-            self.resume_contention(self.sim.now_us)
+        self.resume_contention(self.sim.now_us)
 
-    def _on_count_start(self):
-        self._start_h = None
+    def _on_difs_end(self):
         now = self.sim.now_us
-        self._counting = True
+        self._access_h = None
         self._count_start = now
         if self.backoff_rem == 0:
             self._on_attempt()
         else:
-            self._attempt_h = self.sim.schedule(
+            self._access_h = self.sim.schedule(
                 now + self.backoff_rem * self.phy.slot_us, "attempt", self._on_attempt
             )
 
     def on_medium_busy(self, now):
         # called only while contending (a disabled station never contends)
-        if self._counting:
-            elapsed = now - self._count_start
-            self.backoff_rem -= min(self.backoff_rem, elapsed // self.phy.slot_us)
-            self._counting = False
-            if self._attempt_h is not None:
-                # an attempt at this exact instant still fires (same-slot collision)
-                if self._attempt_h.fire_us != now:
-                    self._attempt_h.cancel()
-                    self._attempt_h = None
-        elif self._start_h is not None:
-            self._start_h.cancel()
-            self._start_h = None
+        h = self._access_h
+        if self._count_start is not None:  # h is the attempt: keep the slots left
+            counted = (now - self._count_start) // self.phy.slot_us
+            self.backoff_rem -= min(self.backoff_rem, counted)
+            self._count_start = None
+            if h.fire_us == now:
+                h = None  # an attempt at this exact instant still fires (same-slot collision)
+        if h is not None:
+            h.cancel()
+            self._access_h = None
         if self._frozen_since is None:
             self._frozen_since = now
 
@@ -406,37 +413,24 @@ class Station:
 
     # -- exchange sequencing ----------------------------------------------
 
-    def _drop_stale_head(self, now):
-        if self.aggressive:  # greedy senders never discard stale frames
-            return
-        lifetime = self.phy.queue_lifetime_us
-        while self.queue and now - self.queue[0].enqueued_us > lifetime:
-            copy = self.queue.popleft()
-            self.cw = self.cw_base
-            self.retry = 0
-            if self.on_copy_done is not None:
-                self.on_copy_done(copy, OUT_LIFETIME_DROP, now)
-
     def _on_attempt(self):
-        if self.disabled:
-            return
-        self._attempt_h = None
-        self._counting = False
-        self._frozen_since = None
         now = self.sim.now_us
-        self.backoff_rem = 0
+        self._access_h = None  # this very event: nothing to cancel
         self._leave_contend()
-        self._drop_stale_head(now)
+        self.backoff_rem = 0
+        if not self.aggressive:  # greedy senders never discard stale frames
+            lifetime = self.phy.queue_lifetime_us
+            while self.queue and now - self.queue[0].enqueued_us > lifetime:
+                self._pop_head(OUT_LIFETIME_DROP, now)
         if not self.queue:
             self.state = IDLE
             return
         head = self.queue[0]
-        self.state = TXSEQ
+        self.state = WAIT_CTS
         phy = self.phy
         rts = Frame(RTS, self.node_id, head.dst, 0, self.stamp_cb,
                     phy.exchange_tail_us(head.payload_bits), head.seq_no)
         self.medium.transmit(self.node_id, rts, phy.rts_us)
-        self._awaiting = CTS
         self._exchange_h = self.sim.schedule(
             now + phy.rts_us + phy.cts_timeout_us, "cts_timeout", self._on_exchange_timeout
         )
@@ -447,8 +441,8 @@ class Station:
         head.cb = self.stamp_cb
         head.duration_us = self.phy.sifs_us + self.phy.ack_us
         air = self.phy.data_us(head.payload_bits)
+        self.state = WAIT_ACK
         self.medium.transmit(self.node_id, head, air)
-        self._awaiting = ACK
         self._exchange_h = self.sim.schedule(
             now + air + self.phy.ack_timeout_us, "ack_timeout", self._on_exchange_timeout
         )
@@ -463,40 +457,15 @@ class Station:
 
     def _on_exchange_timeout(self):
         """Missing CTS or ACK: count a retransmission, back off, retry or drop."""
-        if self.disabled:
-            return
         self._exchange_h = None
-        self._awaiting = None
         now = self.sim.now_us
         self.counters.retrans += 1
         self.retry += 1
         if not self.aggressive:
             self.cw = min(2 * (self.cw + 1) - 1, self.phy.cw_max)
         if self.retry > self.phy.retry_limit:
-            copy = self.queue.popleft()
-            self.cw = self.cw_base
-            self.retry = 0
-            if self.on_copy_done is not None:
-                self.on_copy_done(copy, OUT_RETRY_DROP, now)
-            if not self.queue:
-                self.state = IDLE
-                return
-        self.backoff_rem = self.rng.uniform_int(0, self.cw)
-        self._enter_contend(now)
-
-    def _exchange_success(self):
-        now = self.sim.now_us
-        copy = self.queue.popleft()
-        self._awaiting = None
-        self.cw = self.cw_base
-        self.retry = 0
-        if self.on_copy_done is not None:
-            self.on_copy_done(copy, OUT_DELIVERED, now)
-        if self.queue:
-            self.backoff_rem = self.rng.uniform_int(0, self.cw)
-            self._enter_contend(now)
-        else:
-            self.state = IDLE
+            self._pop_head(OUT_RETRY_DROP, now)
+        self._next_exchange(now)
 
     # -- reception ---------------------------------------------------------
 
@@ -508,11 +477,7 @@ class Station:
         if kind == RTS or kind == CTS:
             self.counters.rts_cts += 1
         if kind == RTS:
-            if self.blocklist is not None and frame.src in self.blocklist:
-                return
-            if self.nav_until > now:
-                return
-            if self._resp_h is not None:
+            if frame.src in self.blocklist or self.nav_until > now or self._resp_h is not None:
                 return
             phy = self.phy
             self._resp_frame = Frame(CTS, self.node_id, frame.src, 0, "000",
@@ -520,27 +485,25 @@ class Station:
                                      frame.seq_no)
             self._resp_h = self.sim.schedule(now + phy.sifs_us, "cts_tx", self._tx_cts)
         elif kind == CTS:
-            if self._awaiting == CTS and self.queue and frame.src == self.queue[0].dst:
-                if self._exchange_h is not None:
-                    self._exchange_h.cancel()
-                self._awaiting = None
+            if self.state is WAIT_CTS and frame.src == self.queue[0].dst:
+                self._exchange_h.cancel()
+                self.state = TXSEQ
                 self._exchange_h = self.sim.schedule(
                     now + self.phy.sifs_us, "data_tx", self._tx_data
                 )
         elif kind == DATA:
-            if self.blocklist is not None and frame.src in self.blocklist:
+            if frame.src in self.blocklist:
                 return
             if self._resp_h is None:
                 self._resp_frame = Frame(ACK, self.node_id, frame.src, 0, "000", 0, frame.seq_no)
                 self._resp_h = self.sim.schedule(now + self.phy.sifs_us, "ack_tx", self._tx_ack)
-                if self.on_data_rx is not None:
-                    self.on_data_rx(frame, now)
+                self.on_data_rx(frame, now)
         elif kind == ACK:
-            if self._awaiting == ACK:
-                if self._exchange_h is not None:
-                    self._exchange_h.cancel()
-                    self._exchange_h = None
-                self._exchange_success()
+            if self.state is WAIT_ACK:
+                self._exchange_h.cancel()
+                self._exchange_h = None
+                self._pop_head(OUT_DELIVERED, now)
+                self._next_exchange(now)
 
     def _nav_reset_check(self):
         """Release the NAV an overheard RTS set if its handshake died (no CTS).
@@ -551,5 +514,5 @@ class Station:
         if self.medium.last_tx_start <= now - self.phy.nav_reset_us and not self.medium._active:
             if self.nav_until > now:
                 self.nav_until = now
-                if self.state == CONTEND:
+                if self.state is CONTEND:
                     self.resume_contention(now)

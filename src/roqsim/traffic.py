@@ -260,7 +260,7 @@ class PulsedSource:
     def _next_time_us(self):
         while True:
             t = self.phase_us + self._k * self.period_us + self._offset + self._i * self.spacing_us
-            if self._i * self.spacing_us < self.burst_us and t >= 0:
+            if self._i * self.spacing_us < self.burst_us:
                 return t
             self._begin_period(self._k + 1)
 

@@ -118,6 +118,9 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
         pytest.param('{"shrew": {"bin_s": 1e-7}}', "shrew.bin_s", id="bin-below-1us"),
         pytest.param('{"duration_s": 2, "warmup_s": 1, "mlda": {"interval_s": 1e-7}}',
                      "mlda.interval_s", id="interval-below-1us"),
+        # mlda calibrates: no 1 s interval ends in (1.2 s, 1.5 s], checked before that run
+        pytest.param('{"duration_s": 1.5, "warmup_s": 1.2, "defense": "mlda"}',
+                     "mlda.interval_s", id="no-calibration-interval"),
         pytest.param('{"duration_s": 2, "warmup_s": 1, "legit": {"packet_bits": 0}}',
                      "legit.packet_bits", id="legit-packet-zero"),
         pytest.param('{"duration_s": 2, "warmup_s": 1, "legit": {"rwnd": 0}}',

@@ -1,9 +1,11 @@
 """Threshold calibration and the sweep/CSV machinery."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from roqsim import harness
 from roqsim.config import RunConfig, config_from_dict
 from roqsim.harness import (
     DETECTIONS_HEADER,
@@ -18,6 +20,7 @@ from roqsim.harness import (
     write_detections_csv,
     write_results_csv,
 )
+from roqsim.runner import IntervalRecord
 
 SMALL = {
     "duration_s": 15.0,
@@ -50,6 +53,18 @@ def test_attack_free_strips_attack_and_defense():
 def test_calibration_refuses_active_attack():
     with pytest.raises(ValueError):
         calibrate_thresholds(RunConfig())  # default config has a live attack
+
+
+def test_calibration_samples_the_intervals_after_warmup(monkeypatch):
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point, 300000 // 100000 is 3
+    cfg = config_from_dict({"duration_s": 0.5, "warmup_s": 0.3,
+                            "mlda": {"interval_s": 0.1}, "attack": {"count": 0}})
+    node = cfg.legit_nodes()[0]
+    records = [IntervalRecord(i, node, 10 * i, 0, 0) for i in range(1, 6)]
+    monkeypatch.setattr(harness, "run_simulation",
+                        lambda c: SimpleNamespace(interval_records=records))
+    th = calibrate_thresholds(cfg)
+    assert th.rc_th == pytest.approx(1.5 * 45)  # intervals 4 and 5: (0.3 s, 0.5 s]
 
 
 def test_calibration_is_deterministic_and_positive():

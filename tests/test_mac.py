@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from roqsim.config import PhySection
+from roqsim.config import PhySection, config_from_dict
 from roqsim.kernel import Simulator
 from roqsim.mac import (
     DATA,
@@ -24,6 +24,7 @@ from roqsim.mac import (
     PhyParams,
     Station,
 )
+from roqsim.runner import SimulationRun
 
 EXCHANGE_US = 4334  # RTS start -> ACK end for an 8000-bit payload
 
@@ -326,3 +327,68 @@ def test_medium_rejects_duplicate_ids():
     sim, phy, medium, ap = make_cell()
     with pytest.raises(ValueError):
         Station(sim, medium, phy, 0, ScriptedRng())
+
+
+# -- the contention timer rules --------------------------------------------
+
+
+def test_difs_ending_as_the_medium_turns_busy_is_cancelled():
+    sim, phy, medium, ap = make_cell()
+    sim.trace = io.StringIO()
+    done = []
+    noise = Frame(DATA, 8, 77, 0)
+    # scheduled first, so at t=50 the medium turns busy before the DIFS would end
+    sim.schedule(50, "noise", lambda: medium.transmit(8, noise, 100))
+    st = Station(sim, medium, phy, 1, ScriptedRng([3]))
+    st.on_copy_done = collector(done)
+    st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=1))
+    sim.run_until(150)
+    assert st.backoff_rem == 3  # no slot counted
+    assert "\tdifs_end\t" not in sim.trace.getvalue()
+    sim.run_until(10_000)
+    # idle at 150, a fresh DIFS to 200, 3 slots: RTS at 260
+    assert done == [(1, OUT_DELIVERED, 260 + EXCHANGE_US)]
+    assert st.counters.busy_stop_us == 100
+
+
+def test_attempt_due_as_the_medium_turns_busy_still_fires():
+    sim, phy, medium, ap = make_cell()
+    st1 = Station(sim, medium, phy, 1, ScriptedRng([1]))
+    st2 = Station(sim, medium, phy, 2, ScriptedRng([0]))
+    st1.enqueue(Frame(DATA, 1, 0, 8000))  # DIFS to 50, one slot: attempt due at 70
+    # st2's DIFS, 20..70, was scheduled before st1's attempt, so at t=70 st2's
+    # RTS turns the medium busy first; st1's attempt at that instant still fires
+    sim.schedule(20, "late", lambda: st2.enqueue(Frame(DATA, 2, 0, 8000)))
+    sim.run_until(70)
+    assert st1.backoff_rem == 0
+    assert len(medium._active) == 2  # two RTS in the air: they collide
+    sim.run_until(70 + 80 + phy.cts_timeout_us)
+    assert ap.counters.rts_cts == 0
+    assert st1.counters.retrans == 1 and st2.counters.retrans == 1
+
+
+def test_contention_timers_fire_only_while_contending():
+    cfg = config_from_dict({
+        "duration_s": 12.0, "warmup_s": 2.0, "defense": "mlda", "seed": 219,
+        "attack": {"count": 8}, "mlda": {"rc_th": 45.0, "se_th_s": 0.0510939, "re_th": 3.0},
+    })
+    run = SimulationRun(cfg)
+    kinds = {"difs_end", "attempt", "nav_expire"}
+    seen = {k: set() for k in kinds}
+    schedule = run.sim.schedule
+
+    def checked_schedule(fire_us, kind, fn, detail=""):
+        if kind in kinds:
+            station = fn.__self__
+
+            def fire():
+                seen[kind].add(station.state)
+                fn()
+
+            return schedule(fire_us, kind, fire, detail)
+        return schedule(fire_us, kind, fn, detail)
+
+    run.sim.schedule = checked_schedule
+    result = run.execute()
+    assert len(result.blocked) == 8  # all eight attackers are disabled mid-run
+    assert seen == {k: {"contend"} for k in kinds}

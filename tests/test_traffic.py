@@ -2,7 +2,7 @@
 
 import pytest
 
-from roqsim.kernel import Simulator
+from roqsim.kernel import RandomSource, Simulator
 from roqsim.traffic import (
     CONG_AVOID,
     MAX_RTO_S,
@@ -265,3 +265,20 @@ def test_pulsed_source_stops_once_station_is_disabled():
     assert src.arrivals == 7 and len(st.sent) == 7
     assert sim.dispatched == 8  # the arrival due after the block finds it and stops
     assert not sim._heap  # nothing rescheduled
+
+
+@pytest.mark.parametrize("seed, offset_us, first_burst", [(0, -32242, 107), (5, -70810, 91)])
+def test_jitter_before_time_zero_skips_only_the_early_arrivals(seed, offset_us, first_burst):
+    assert RandomSource(seed).uniform_int(-100_000, 100_000) == offset_us
+    sim = Simulator(seed=0)
+    st = FakeStation(sim=sim)
+    src = PulsedSource(sim, st, 0, period_s=1.2, burst_s=0.3, rate_pps=400,
+                       packet_bits=8000, jitter_s=0.1, rng=RandomSource(seed))
+    src.start()
+    sim.run_until(1_099_999)  # the second burst starts at 1.1 s at the earliest
+    # 120 arrivals 2500 us apart from the jittered start; those before t = 0 are skipped
+    skipped = 120 - first_burst
+    assert [f.enqueued_us for f in st.sent] == [
+        offset_us + i * 2500 for i in range(skipped, 120)
+    ]
+    assert st.sent[0].enqueued_us >= 0 and offset_us + (skipped - 1) * 2500 < 0
