@@ -25,7 +25,8 @@ def _build_parser():
     sw.add_argument("axis", choices=("attackers", "period"))
     sw.add_argument("--config", required=True)
     sw.add_argument("--out", required=True, help="results CSV path")
-    sw.add_argument("--workers", type=int, default=1)
+    sw.add_argument("--workers", type=int, default=1,
+                    help="processes to run the points in, at most one per point")
 
     cal = sub.add_parser("calibrate", help="derive detection thresholds attack-free")
     cal.add_argument("--config", required=True)
@@ -59,6 +60,8 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1, got %d" % args.workers)
     cfg = load_config(args.config)
     if args.axis == "attackers":
         rows, _ = harness.sweep_attackers(cfg, workers=args.workers)

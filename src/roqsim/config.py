@@ -120,6 +120,12 @@ class RunConfig:
         attack = self.attack
         if attack.period_s > 0 and attack.burst_s >= attack.period_s:
             raise ConfigError("attack.burst_s must be shorter than attack.period_s")
+        # a burst jittered late must end before the next one jittered early
+        # starts, or the source skips the arrivals that overlap
+        if attack.period_s > 0 and (2 * to_us(attack.jitter_s)
+                                    > to_us(attack.period_s) - to_us(attack.burst_s)):
+            raise ConfigError("attack.jitter_s must be at most (attack.period_s - "
+                              "attack.burst_s) / 2, got %r" % attack.jitter_s)
         # every period starts with an arrival: a shorter period than the
         # packet spacing would outrun attack.rate_pps
         if attack.period_s > 0 and attack.rate_pps > 0 and (

@@ -8,7 +8,6 @@ run every (value, defense, seed) point, and emit one CSV row per point.
 """
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .config import DEFENSE_MLDA, DEFENSE_NONE, DEFENSE_SHREW, ConfigError
@@ -68,13 +67,14 @@ def calibrate_thresholds(config):
     if config.attack_enabled():
         raise ValueError("calibration requires an attack-free config")
     cfg = attack_free(config)
-    # the intervals sampled are those that end after warm-up
+    # the intervals sampled are those that start at or after warm-up;
+    # interval i covers ((i - 1) * interval, i * interval]
     interval_us = to_us(cfg.mlda.interval_s)
-    first = to_us(cfg.warmup_s) // interval_us + 1
+    first = -(-to_us(cfg.warmup_s) // interval_us) + 1
     if first * interval_us > to_us(cfg.duration_s):
         raise ConfigError(
-            "mlda.interval_s: no interval of %g s ends after warmup_s %g and by duration_s %g,"
-            " so calibration has nothing to sample"
+            "mlda.interval_s: no interval of %g s starts at or after warmup_s %g and ends by"
+            " duration_s %g, so calibration has nothing to sample"
             % (cfg.mlda.interval_s, cfg.warmup_s, cfg.duration_s)
         )
     result = run_simulation(cfg)
@@ -127,7 +127,12 @@ def run_point(args):
 
 
 def _run_points(points, workers):
-    if workers and workers > 1:
+    """Run the points serially, or in a pool of at most one process per point."""
+    workers = min(workers, len(points))
+    if workers > 1:
+        # the pool's modules load only in a process that starts one
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_point, points))
     return [run_point(p) for p in points]

@@ -5,11 +5,13 @@ The arrival series is binned counts over fixed-width bins.  The window is
 mean-removed and transformed; the one-sided energy spectrum folds the
 negative frequencies in, so the energies sum to N times the summed squares of
 the (mean-removed) samples.
+
+numpy is imported by the functions that compute a spectrum, not at module
+load: recording arrivals needs none, and a run without the spectral defense
+never analyses a spectrum.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 LEGIT = "legit"
 ATTACK = "attack"
@@ -24,6 +26,8 @@ def power_spectrum(counts):
     Returns energies for bins 0..N/2; interior bins carry the folded
     negative-frequency energy so that sum(energy) == N * sum(x_centered**2).
     """
+    import numpy as np
+
     x = np.asarray(counts, dtype=float)
     n = x.size
     if n < 2 or n & (n - 1):
@@ -38,6 +42,8 @@ def power_spectrum(counts):
 
 def spectrum_freqs(energy, bin_s):
     """Frequency (Hz) of each one-sided spectrum bin."""
+    import numpy as np
+
     n = 2 * (energy.size - 1)
     return np.arange(energy.size) / (n * bin_s)
 
@@ -54,6 +60,8 @@ def low_freq_ratio(energy, cutoff_hz, bin_s):
         raise ValueError(
             "cutoff %g Hz outside (0, %g] for bin width %g s" % (cutoff_hz, nyquist, bin_s)
         )
+    import numpy as np
+
     energy = np.asarray(energy, dtype=float)
     total = energy.sum()
     if total == 0.0:
@@ -72,7 +80,7 @@ class SpectrumVerdict:
     flow: int
     ratio: float
     verdict: str
-    energy: np.ndarray
+    energy: "numpy.ndarray"
 
 
 class ArrivalRecorder:
@@ -84,7 +92,7 @@ class ArrivalRecorder:
         self.flow = flow
         self.bin_us = bin_us
         self.window_bins = window_bins
-        self.counts = np.zeros(window_bins, dtype=float)
+        self.counts = [0.0] * window_bins
         self.total = 0
 
     def record(self, t_us):

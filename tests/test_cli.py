@@ -131,6 +131,9 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
                      "attack.queue_cap", id="queue-cap-zero"),
         pytest.param('{"duration_s": 2, "warmup_s": 1, "attack": {"jitter_s": -0.5}}',
                      "attack.jitter_s", id="jitter-negative"),
+        # jittered bursts could overlap: (1.2 s - 0.3 s) / 2 is the most allowed
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "attack": {"jitter_s": 0.450001}}',
+                     "attack.jitter_s", id="jitter-overlaps-bursts"),
         pytest.param('{"duration_s": 2, "warmup_s": 1, "defense": "mlda",'
                      ' "mlda": {"rc_th": -1, "se_th_s": 0.1, "re_th": 3}}',
                      "mlda.rc_th", id="threshold-negative"),
@@ -167,6 +170,52 @@ def test_bad_sweep_item_exits_1_before_any_run(tmp_path, monkeypatch, capsys, ax
     assert main(["sweep", axis, "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error: " + message)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sweep_refuses_fewer_than_one_worker(config_path, tmp_path, monkeypatch, capsys,
+                                             workers):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation ran before --workers was checked")
+
+    monkeypatch.setattr(harness, "run_simulation", no_run)
+    out = tmp_path / "results.csv"
+    assert main(["sweep", "attackers", "--config", config_path, "--out", str(out),
+                 "--workers", str(workers)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --workers must be at least 1, got %d\n" % workers)
+    assert not out.exists()
+
+
+_RUN = """
+import sys
+from roqsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+# a None entry in sys.modules makes that import raise ImportError
+_BLOCK_NUMPY_AND_POOL = """
+import sys
+sys.modules["numpy"] = None
+sys.modules["concurrent.futures"] = None
+"""
+
+
+@pytest.mark.parametrize("defense", ["none", "mlda"])
+def test_run_needs_neither_numpy_nor_a_process_pool(tmp_path, defense):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(SMALL, defense=defense)))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    outputs = []
+    for name, program in (("blocked", _BLOCK_NUMPY_AND_POOL + _RUN), ("plain", _RUN)):
+        trace = tmp_path / (name + ".tsv")
+        detections = tmp_path / (name + ".csv")
+        proc = subprocess.run(
+            [sys.executable, "-c", program, "run", "--config", str(path),
+             "--trace", str(trace), "--detections", str(detections)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, trace.read_bytes(), detections.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Pinned SHA-256 fingerprints of what a user reads: run stdout, the event
-trace, the detections CSV and a sweep's results CSV.
+trace, the detections CSV, the arrival spectra CSV and a sweep's results CSV.
 
 The trace lists every dispatched event with its fire time, sequence number,
 kind and detail, so its digest pins the whole event stream, not only the
@@ -32,6 +32,12 @@ LYING_DETECTIONS_SHA256 = "84560147c2decba4a687e99a366a914dce41cc9d49b2a95abace7
 
 SWEEP = {"duration_s": 20.0, "seed": 2, "sweep": {"attacker_counts": [2, 4], "seeds": [2]}}
 SWEEP_CSV_SHA256 = "2dc0722242621b7f9fd74105fd1b94e1fa6301955a028ff4bf8e54bdef6d44d0"
+
+
+# the shrew verdict at 12.8 s analyses every flow's first 256-bin window
+SPECTRA_RUN = {"duration_s": 15.0, "seed": 4, "defense": "shrew", "attack": {"count": 2},
+               "shrew": {"window_bins": 256}}
+SPECTRA_CSV_SHA256 = "66f811b3b9b8a7d68f5bba21db1665dc09d08657b3137aa475d1e1c78a42eee0"
 
 
 def _sha256(data):
@@ -82,3 +88,11 @@ def test_sweep_results_csv_is_pinned(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert _sha256(out.read_bytes()) == SWEEP_CSV_SHA256
+
+
+def test_spectra_csv_is_pinned(tmp_path):
+    spectra = tmp_path / "spectra.csv"
+    rc = main(["run", "--config", _write_config(tmp_path, SPECTRA_RUN),
+               "--dump-spectra", str(spectra)])
+    assert rc == 0
+    assert _sha256(spectra.read_bytes()) == SPECTRA_CSV_SHA256

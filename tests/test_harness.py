@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from roqsim import harness
-from roqsim.config import RunConfig, config_from_dict
+from roqsim.config import ConfigError, RunConfig, config_from_dict
 from roqsim.harness import (
     DETECTIONS_HEADER,
     RESULTS_HEADER,
@@ -67,6 +67,23 @@ def test_calibration_samples_the_intervals_after_warmup(monkeypatch):
     assert th.rc_th == pytest.approx(1.5 * 45)  # intervals 4 and 5: (0.3 s, 0.5 s]
 
 
+def test_calibration_starts_after_a_warmup_that_ends_inside_an_interval(monkeypatch):
+    # warm-up ends inside interval 3, (0.2 s, 0.3 s]: sampling starts at interval 4
+    cfg = config_from_dict({"duration_s": 0.6, "warmup_s": 0.25,
+                            "mlda": {"interval_s": 0.1}, "attack": {"count": 0}})
+    node = cfg.legit_nodes()[0]
+    records = [IntervalRecord(i, node, 10 * i, 0, 0) for i in range(1, 7)]
+    monkeypatch.setattr(harness, "run_simulation",
+                        lambda c: SimpleNamespace(interval_records=records))
+    th = calibrate_thresholds(cfg)
+    assert th.rc_th == pytest.approx(1.5 * 50)  # intervals 4 to 6: (0.3 s, 0.6 s]
+
+    # interval 4 would end after duration_s: nothing to sample, refused before the run
+    monkeypatch.setattr(harness, "run_simulation", None)
+    with pytest.raises(ConfigError, match="^mlda.interval_s"):
+        calibrate_thresholds(replace(cfg, duration_s=0.35))
+
+
 def test_calibration_is_deterministic_and_positive():
     cfg = attack_free(config_from_dict(SMALL))
     th1 = calibrate_thresholds(cfg)
@@ -119,6 +136,35 @@ def test_parallel_sweep_matches_serial():
     rows_serial, _ = sweep_attackers(cfg, workers=1)
     rows_parallel, _ = sweep_attackers(cfg, workers=2)
     assert rows_serial == rows_parallel
+
+
+def test_pool_starts_at_most_one_process_per_point(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        """Records the pool size it was asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "run_point", lambda point: point[0])
+    points = [(i,) for i in range(4)]
+    assert harness._run_points(points, 500) == [0, 1, 2, 3]
+    assert harness._run_points(points, 3) == [0, 1, 2, 3]
+    assert harness._run_points(points[:1], 500) == [0]  # one point runs here, no pool
+    assert pools == [4, 3]
 
 
 def test_aggregate_rows_means():

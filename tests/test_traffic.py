@@ -282,3 +282,30 @@ def test_jitter_before_time_zero_skips_only_the_early_arrivals(seed, offset_us, 
         offset_us + i * 2500 for i in range(skipped, 120)
     ]
     assert st.sent[0].enqueued_us >= 0 and offset_us + (skipped - 1) * 2500 < 0
+
+
+class ExtremeJitter:
+    """Shifts the bursts by +jitter and -jitter in turn: as close as they can come."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def uniform_int(self, low, high):
+        self.draws += 1
+        return high if self.draws % 2 else low
+
+
+@pytest.mark.parametrize("jitter_s, offered", [(0.45, 1200), (0.46, 1165)])
+def test_jitter_up_to_the_config_limit_loses_no_arrival(jitter_s, offered):
+    # config.validate allows jitter_s up to (period_s - burst_s) / 2 = 0.45 s;
+    # past it a burst shifted early starts before the previous one ended and
+    # its first arrivals are skipped
+    sim = Simulator(seed=0)
+    st = FakeStation(sim=sim)
+    src = PulsedSource(sim, st, 0, period_s=1.2, burst_s=0.3, rate_pps=400,
+                       packet_bits=8000, jitter_s=jitter_s, rng=ExtremeJitter())
+    src.start()
+    sim.run_until(12_000_000)  # periods 0-9; period 10 starts after 12.4 s
+    assert src.arrivals == len(st.sent) == offered
+    times = [f.enqueued_us for f in st.sent]
+    assert times == sorted(times)
