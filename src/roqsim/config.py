@@ -3,7 +3,7 @@
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin
 
 from .kernel import to_us
@@ -63,7 +63,8 @@ class MldaSection:
     interval_s: float = 1.0
     escalation: str = "streak"  # or "absolute"
     lying_attacker: bool = False
-    # thresholds; None means calibrate from an attack-free run first
+    # thresholds, set all three or none; None means calibrate from an
+    # attack-free run first
     rc_th: Optional[float] = None
     se_th_s: Optional[float] = None
     re_th: Optional[float] = None
@@ -134,12 +135,21 @@ class RunConfig:
                               "attack.rate_pps, got %r" % attack.period_s)
         if self.mlda.escalation not in ("streak", "absolute"):
             raise ConfigError("mlda.escalation must be 'streak' or 'absolute'")
+        unset = [name for name in _THRESHOLDS if _field(self, name) is None]
+        if 0 < len(unset) < len(_THRESHOLDS):
+            raise ConfigError("%s must be set: the mlda thresholds are set all together "
+                              "or not at all" % " and ".join(unset))
         n = self.shrew.window_bins
         if n < 2 or n & (n - 1):
             raise ConfigError("shrew.window_bins must be a power of two")
         nyq = 1.0 / (2.0 * self.shrew.bin_s)
         if not (0 < self.shrew.cutoff_hz <= nyq):
             raise ConfigError("shrew.cutoff_hz must be in (0, %g]" % nyq)
+        # every low-frequency ratio lies in [0, 1]: outside [0, 1) the
+        # threshold gives every flow the same verdict
+        if not (0 <= self.shrew.ratio_threshold < 1):
+            raise ConfigError("shrew.ratio_threshold must be in [0, 1), got %r"
+                              % self.shrew.ratio_threshold)
         return self
 
     def attack_enabled(self):
@@ -156,9 +166,6 @@ class RunConfig:
     def attacker_nodes(self):
         first = 1 + self.legit.count
         return list(range(first, first + self.attack.count))
-
-    def to_dict(self):
-        return asdict(self)
 
 
 # range checks run after the type checks, so every value compares cleanly
@@ -193,6 +200,8 @@ _MINIMUM = (
     ("mlda.re_th", 0),
     ("shrew.bin_s", MIN_STEP_S),
 )
+
+_THRESHOLDS = ("mlda.rc_th", "mlda.se_th_s", "mlda.re_th")
 
 
 def _field(config, dotted):

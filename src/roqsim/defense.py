@@ -34,12 +34,6 @@ class CongestionBits(NamedTuple):
     def __str__(self):
         return "%d%d%d" % (self.c1, self.c2, self.c3)
 
-    @classmethod
-    def from_string(cls, s):
-        if len(s) != 3 or any(ch not in "01" for ch in s):
-            raise ValueError("congestion bits must be three 0/1 chars, got %r" % (s,))
-        return cls(s[0] == "1", s[1] == "1", s[2] == "1")
-
     def count(self):
         return int(self.c1) + int(self.c2) + int(self.c3)
 
@@ -67,8 +61,11 @@ class Thresholds:
 
     @classmethod
     def configured(cls, mlda):
-        """Thresholds set in a config's mlda section, or None unless all three are."""
-        if mlda.rc_th is None or mlda.se_th_s is None or mlda.re_th is None:
+        """Thresholds set in a config's mlda section, or None if unset.
+
+        A validated config sets all three thresholds or none of them.
+        """
+        if mlda.rc_th is None:
             return None
         return cls(mlda.rc_th, mlda.se_th_s, mlda.re_th, mlda.interval_s)
 

@@ -90,7 +90,7 @@ def calibrate_thresholds(config):
 
 
 def resolve_thresholds(config):
-    """Use explicitly configured thresholds if complete, else calibrate."""
+    """Use explicitly configured thresholds if set, else calibrate."""
     return Thresholds.configured(config.mlda) or calibrate_thresholds(attack_free(config))
 
 
@@ -170,31 +170,6 @@ def sweep_attackers(config, workers=1):
 def sweep_period(config, workers=1):
     """Vary the attack period; period 0 means no attack."""
     return _sweep(config, "period", workers=workers)
-
-
-def aggregate_rows(rows):
-    """Mean/min/max of legit bandwidth and loss ratio per (value, defense)."""
-    groups = {}
-    for r in rows:
-        groups.setdefault((float(r[1]), r[2]), []).append(r)
-    out = {}
-    for key, rs in sorted(groups.items()):
-        bws = [r[4] for r in rs]
-        ratios = [r[6] for r in rs]
-        losses = [r[5] for r in rs]
-        blocked = [r[8] for r in rs]
-        false = [r[9] for r in rs]
-        out[key] = {
-            "n": len(rs),
-            "legit_bw_mean": sum(bws) / len(bws),
-            "legit_bw_min": min(bws),
-            "legit_bw_max": max(bws),
-            "loss_ratio_mean": sum(ratios) / len(ratios),
-            "loss_pkts_mean": sum(losses) / len(losses),
-            "blocked_mean": sum(blocked) / len(blocked),
-            "false_blocks_total": sum(false),
-        }
-    return out
 
 
 def write_results_csv(path, rows):

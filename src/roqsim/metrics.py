@@ -8,13 +8,21 @@ Goodput counts each sequence number once, at its first clean reception.
 
 from dataclasses import dataclass
 
+from .mac import OUT_DELIVERED
+
 
 class FlowStats:
-    """Copy-level sender ledger plus receiver-side unique goodput."""
+    """Copy-level sender ledger plus receiver-side unique goodput.
+
+    on_sent, on_copy_done and on_goodput are a station's and the sink's hooks:
+    they take the frame and the event time, and an event counts in the
+    windowed ledger when it falls at or after warmup_us.
+    """
 
     __slots__ = (
         "node",
         "is_attack",
+        "warmup_us",
         "sent_pkts",
         "sent_bits",
         "delivered_pkts",
@@ -30,12 +38,12 @@ class FlowStats:
         "w_dropped_bits",
         "w_goodput_pkts",
         "w_goodput_bits",
-        "timeouts",
     )
 
-    def __init__(self, node, is_attack):
+    def __init__(self, node, is_attack, warmup_us):
         self.node = node
         self.is_attack = is_attack
+        self.warmup_us = warmup_us
         self.sent_pkts = 0
         self.sent_bits = 0
         self.delivered_pkts = 0
@@ -51,14 +59,20 @@ class FlowStats:
         self.w_dropped_bits = 0
         self.w_goodput_pkts = 0
         self.w_goodput_bits = 0
-        self.timeouts = 0
 
-    def on_sent(self, bits, in_window):
+    def on_sent(self, frame, now):
+        bits = frame.payload_bits
         self.sent_pkts += 1
         self.sent_bits += bits
-        if in_window:
+        if now >= self.warmup_us:
             self.w_sent_pkts += 1
             self.w_sent_bits += bits
+
+    def on_copy_done(self, frame, outcome, now):
+        if outcome == OUT_DELIVERED:
+            self.on_delivered(frame.payload_bits)
+        else:
+            self.on_dropped(frame.payload_bits, outcome, now >= self.warmup_us)
 
     def on_delivered(self, bits):
         self.delivered_pkts += 1
@@ -72,10 +86,11 @@ class FlowStats:
             self.w_dropped_pkts += 1
             self.w_dropped_bits += bits
 
-    def on_goodput(self, bits, in_window):
+    def on_goodput(self, frame, now):
+        bits = frame.payload_bits
         self.goodput_pkts += 1
         self.goodput_bits += bits
-        if in_window:
+        if now >= self.warmup_us:
             self.w_goodput_pkts += 1
             self.w_goodput_bits += bits
 

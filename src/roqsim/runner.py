@@ -18,7 +18,7 @@ from . import defense as dfs
 from . import spectral
 from .config import DEFENSE_MLDA, DEFENSE_SHREW, RunConfig
 from .kernel import Simulator, to_us
-from .mac import CTS, DATA, OUT_DELIVERED, RTS, Medium, PhyParams, Station
+from .mac import CTS, DATA, RTS, Medium, PhyParams, Station
 from .metrics import ClassStats, FlowStats, audit_conservation
 from .traffic import PulsedSource, TcpSink, TcpSource
 
@@ -105,21 +105,20 @@ class SimulationRun:
         ap = Station(sim, self.medium, self.phy, cfg.ap_node, sim.rng.fork(cfg.ap_node))
         ap.blocklist = self.blocklist
         ap.on_data_rx = self._ap_data_rx
-        ap.on_copy_done = self._copy_done
-        self.stations[cfg.ap_node] = ap
+        self.stations[cfg.ap_node] = ap  # its copies are TCP ACKs: overhead, not a flow
 
         for node in self.legit_nodes:
             st = Station(sim, self.medium, self.phy, node, sim.rng.fork(node))
-            st.on_copy_done = self._copy_done
-            st.on_enqueue = self._enqueued
-            st.on_data_rx = self._station_data_rx
-            self.stations[node] = st
-            self.stats[node] = FlowStats(node, is_attack=False)
-            self.sinks[node] = TcpSink(sim, ap, node)
-            self.tcp_sources[node] = TcpSource(
+            fs = self.stats[node] = FlowStats(node, False, self.warmup_us)
+            src = self.tcp_sources[node] = TcpSource(
                 sim, st, cfg.ap_node, cfg.legit.packet_bits, cfg.legit.rwnd,
                 app_rate_pps=cfg.legit.app_rate_pps,
             )
+            st.on_enqueue = fs.on_sent
+            st.on_copy_done = fs.on_copy_done
+            st.on_data_rx = src.on_transport_ack  # only the AP sends it DATA
+            self.stations[node] = st
+            self.sinks[node] = TcpSink(sim, ap, node)
 
         n_attack = len(self.attacker_nodes)
         for i, node in enumerate(self.attacker_nodes):
@@ -133,10 +132,10 @@ class SimulationRun:
                 queue_cap=cfg.attack.queue_cap,
                 cw_base=cfg.attack.cw,
             )
-            st.on_copy_done = self._copy_done
-            st.on_enqueue = self._enqueued
+            fs = self.stats[node] = FlowStats(node, True, self.warmup_us)
+            st.on_enqueue = fs.on_sent
+            st.on_copy_done = fs.on_copy_done
             self.stations[node] = st
-            self.stats[node] = FlowStats(node, is_attack=True)
             phase = (i * cfg.attack.period_s / n_attack) if cfg.attack.stagger else 0.0
             self.pulsed_sources[node] = PulsedSource(
                 sim,
@@ -175,43 +174,14 @@ class SimulationRun:
 
     # -- callbacks ----------------------------------------------------------
 
-    def _in_window(self, t_us):
-        return t_us >= self.warmup_us
-
-    def _enqueued(self, frame, now):
-        fs = self.stats.get(frame.src)
-        if fs is not None:
-            fs.on_sent(frame.payload_bits, self._in_window(now))
-
-    def _copy_done(self, frame, outcome, now):
-        fs = self.stats.get(frame.src)
-        if fs is None:  # the AP's own ACK frames are overhead, not a flow
-            return
-        if outcome == OUT_DELIVERED:
-            fs.on_delivered(frame.payload_bits)
-        else:
-            fs.on_dropped(frame.payload_bits, outcome, self._in_window(now))
-
     def _ap_data_rx(self, frame, now):
+        # every DATA frame the AP hears comes from a monitored node; an
+        # attacker has no sink, and each of its copies counts as goodput
         src = frame.src
-        rec = self.recorders.get(src)
-        if rec is not None:
-            rec.record(now)
-        fs = self.stats.get(src)
-        if fs is None:
-            return
-        if fs.is_attack:
-            fs.on_goodput(frame.payload_bits, self._in_window(now))
-        else:
-            sink = self.sinks.get(src)
-            if sink is not None and sink.on_data(frame, now):
-                fs.on_goodput(frame.payload_bits, self._in_window(now))
-
-    def _station_data_rx(self, frame, now):
-        # transport ACK from the AP back to a legit sender
-        src = self.tcp_sources.get(frame.dst)
-        if src is not None and frame.src == self.config.ap_node:
-            src.on_transport_ack(frame.seq_no, now)
+        self.recorders[src].record(now)
+        sink = self.sinks.get(src)
+        if sink is None or sink.on_data(frame, now):
+            self.stats[src].on_goodput(frame, now)
 
     def _monitor_tap(self, frame, now):
         kind = frame.kind
@@ -297,23 +267,11 @@ class SimulationRun:
     def _collect(self):
         legit = ClassStats()
         attack = ClassStats()
-        timeouts = 0
+        leftover = {}
         for node, fs in sorted(self.stats.items()):
             (attack if fs.is_attack else legit).add(fs)
-        for node, src in self.tcp_sources.items():
-            self.stats[node].timeouts = src.timeouts
-            timeouts += src.timeouts
-
-        leftover = {}
-        for node, st in self.stations.items():
-            pkts = 0
-            bits = 0
-            for frame in st.queue:
-                if frame.src in self.stats:
-                    pkts += 1
-                    bits += frame.payload_bits
-            if node in self.stats:
-                leftover[node] = (pkts, bits)
+            queue = self.stations[node].queue
+            leftover[node] = (len(queue), sum(frame.payload_bits for frame in queue))
         audit_conservation(self.stats, leftover)
 
         false_blocks = len(self.blocklist & set(self.legit_nodes))
@@ -329,7 +287,7 @@ class SimulationRun:
             verdicts=self.verdicts,
             thresholds=self.thresholds,
             interval_records=self.interval_records,
-            timeouts=timeouts,
+            timeouts=sum(src.timeouts for src in self.tcp_sources.values()),
         )
 
 

@@ -93,13 +93,11 @@ class ArrivalRecorder:
         self.bin_us = bin_us
         self.window_bins = window_bins
         self.counts = [0.0] * window_bins
-        self.total = 0
 
     def record(self, t_us):
         idx = t_us // self.bin_us
         if 0 <= idx < self.window_bins:
             self.counts[idx] += 1.0
-            self.total += 1
 
     def analyze(self, cutoff_hz, threshold):
         bin_s = self.bin_us / 1_000_000.0

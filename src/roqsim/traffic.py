@@ -17,10 +17,6 @@ MAX_RTO_S = 64.0
 RTT_GAIN = 1.0 / 8.0  # smoothed RTT gain
 VAR_GAIN = 1.0 / 4.0  # RTT variance gain
 
-SLOW_START = "slow_start"
-CONG_AVOID = "congestion_avoidance"
-TIMEOUT_BACKOFF = "timeout_backoff"
-
 TCP_ACK_BITS = 320
 
 
@@ -33,7 +29,6 @@ class TcpFlowState:
     srtt: Optional[float] = None
     rttvar: float = 0.0
     rto: float = MIN_RTO_S
-    state: str = SLOW_START
     ack_credit: int = 0  # ACKs banked toward +1 cwnd in congestion avoidance
 
 
@@ -50,9 +45,7 @@ def apply_ack(flow, rtt_sample_s=None):
         flow.rto = max(MIN_RTO_S, flow.srtt + 4.0 * flow.rttvar)
     if flow.cwnd < flow.ssthresh:
         flow.cwnd += 1
-        flow.state = SLOW_START if flow.cwnd < flow.ssthresh else CONG_AVOID
     else:
-        flow.state = CONG_AVOID
         flow.ack_credit += 1
         if flow.ack_credit >= flow.cwnd:
             flow.ack_credit = 0
@@ -66,7 +59,6 @@ def apply_timeout(flow):
     flow.cwnd = 1
     flow.ack_credit = 0
     flow.rto = min(flow.rto * 2.0, MAX_RTO_S)
-    flow.state = TIMEOUT_BACKOFF
     return flow
 
 
@@ -136,7 +128,9 @@ class TcpSource:
             self._rto_h.cancel()
             self._rto_h = None
 
-    def on_transport_ack(self, ack_no, now):
+    def on_transport_ack(self, frame, now):
+        """A cumulative transport ACK from the sink: a DATA frame whose seq_no acks."""
+        ack_no = frame.seq_no
         if ack_no <= self.acked_hi:
             return
         sample = None

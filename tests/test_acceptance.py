@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from roqsim.defense import (
     monitor_interval,
 )
 from roqsim.harness import (
-    aggregate_rows,
     attack_free,
     calibrate_thresholds,
     sweep_attackers,
@@ -38,6 +38,21 @@ from roqsim.runner import SimulationRun, run_simulation
 from roqsim.spectral import low_freq_ratio, power_spectrum
 
 GRADE_BY_BITS = {0: NOFINDING, 1: NORMAL, 2: SUSPECTED, 3: ATTACKER}
+
+
+def bits_of(code):
+    """CongestionBits from a string such as "101"."""
+    return CongestionBits(*(ch == "1" for ch in code))
+
+
+def mean_by_point(rows):
+    """Mean legit bandwidth and loss count per (value, defense) over the seeds."""
+    groups = {}
+    for r in rows:
+        groups.setdefault((float(r[1]), r[2]), []).append(r)
+    return {key: {"legit_bw_mean": sum(r[4] for r in rs) / len(rs),
+                  "loss_pkts_mean": sum(r[5] for r in rs) / len(rs)}
+            for key, rs in groups.items()}
 
 
 def report(criterion, ok, detail):
@@ -101,13 +116,13 @@ def test_criterion_2_escalation_block_timing():
     codes = ["%d%d%d" % b for b in itertools.product((0, 1), repeat=3)]
 
     def obs(code):
-        return {1: CongestionBits.from_string(code)}
+        return {1: bits_of(code)}
 
     sequences = 0
     for mode in ("streak", "absolute"):
         for length in range(1, 5):
             for seq in itertools.product(codes, repeat=length):
-                findings = [classify_cb(CongestionBits.from_string(c)) for c in seq]
+                findings = [classify_cb(bits_of(c)) for c in seq]
                 expected = _replay_block_interval(findings, mode)
                 state = MonitorState(escalation=mode)
                 got = None
@@ -127,7 +142,7 @@ def test_criterion_3_attacker_sweep_bandwidth_and_loss_ordering():
     t0 = time.monotonic()
     cfg = RunConfig()  # counts {2,4,6,8} x 5 seeds x 100 s
     rows, _ = sweep_attackers(cfg)
-    agg = aggregate_rows(rows)
+    agg = mean_by_point(rows)
     problems = []
     for count in cfg.sweep.attacker_counts:
         m = agg[(float(count), "mlda")]
@@ -147,10 +162,10 @@ def test_criterion_4_period_sweep_ordering_and_no_attack_agreement():
     t0 = time.monotonic()
     # long bursts so one burst spans several monitoring intervals at any period
     cfg = config_from_dict(
-        RunConfig().to_dict() | {"attack": {"burst_s": 1.0, "rate_pps": 600}}
+        asdict(RunConfig()) | {"attack": {"burst_s": 1.0, "rate_pps": 600}}
     )
     rows, _ = sweep_period(cfg)
-    agg = aggregate_rows(rows)
+    agg = mean_by_point(rows)
     problems = []
     for period in cfg.sweep.periods_s:
         m = agg[(float(period), "mlda")]
@@ -197,7 +212,7 @@ def test_criterion_6_no_false_blocks_attack_free(calibrated):
     block_rows = 0
     blocked_nodes = set()
     for seed in range(1, 11):
-        d = cfg.to_dict()
+        d = asdict(cfg)
         d["seed"] = seed
         d["defense"] = "mlda"
         d["attack"]["count"] = 0
@@ -213,11 +228,11 @@ def test_criterion_7_blocking_restores_bandwidth(calibrated):
     th, _ = calibrated
     worst = []
     for seed in (1, 2, 3):
-        quiet_cfg = RunConfig().to_dict()
+        quiet_cfg = asdict(RunConfig())
         quiet_cfg["seed"] = seed
         quiet_cfg["attack"]["count"] = 0
         quiet = run_simulation(config_from_dict(quiet_cfg))
-        d = RunConfig().to_dict()
+        d = asdict(RunConfig())
         d["seed"] = seed
         d["defense"] = "mlda"
         d["attack"]["count"] = 8

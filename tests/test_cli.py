@@ -137,6 +137,16 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
         pytest.param('{"duration_s": 2, "warmup_s": 1, "defense": "mlda",'
                      ' "mlda": {"rc_th": -1, "se_th_s": 0.1, "re_th": 3}}',
                      "mlda.rc_th", id="threshold-negative"),
+        # a partial threshold set would be ignored and calibrated over
+        pytest.param('{"duration_s": 12, "warmup_s": 2, "defense": "mlda",'
+                     ' "mlda": {"rc_th": 0.0}}',
+                     "mlda.se_th_s and mlda.re_th must be set", id="thresholds-partial"),
+        # every low-frequency ratio lies in [0, 1]
+        pytest.param('{"duration_s": 15, "warmup_s": 1, "defense": "shrew",'
+                     ' "shrew": {"window_bins": 256, "ratio_threshold": -1}}',
+                     "shrew.ratio_threshold", id="ratio-threshold-negative"),
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "shrew": {"ratio_threshold": 1}}',
+                     "shrew.ratio_threshold", id="ratio-threshold-one"),
     ],
 )
 def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):

@@ -1,6 +1,7 @@
 """Configuration loading, validation, and node layout."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -22,8 +23,8 @@ def test_defaults_validate():
 
 def test_dict_round_trip():
     cfg = RunConfig()
-    clone = config_from_dict(cfg.to_dict())
-    assert clone.to_dict() == cfg.to_dict()
+    clone = config_from_dict(asdict(cfg))
+    assert asdict(clone) == asdict(cfg)
 
 
 def test_node_layout():

@@ -10,7 +10,6 @@ from roqsim.config import ConfigError, RunConfig, config_from_dict
 from roqsim.harness import (
     DETECTIONS_HEADER,
     RESULTS_HEADER,
-    aggregate_rows,
     attack_free,
     calibrate_thresholds,
     resolve_thresholds,
@@ -165,23 +164,6 @@ def test_pool_starts_at_most_one_process_per_point(monkeypatch):
     assert harness._run_points(points, 3) == [0, 1, 2, 3]
     assert harness._run_points(points[:1], 500) == [0]  # one point runs here, no pool
     assert pools == [4, 3]
-
-
-def test_aggregate_rows_means():
-    rows = [
-        ("attackers", 2, "mlda", 1, 100.0, 2, 0.1, 5.0, 1, 0),
-        ("attackers", 2, "mlda", 2, 200.0, 4, 0.3, 5.0, 2, 0),
-        ("attackers", 2, "shrew", 1, 50.0, 8, 0.5, 5.0, 0, 1),
-    ]
-    agg = aggregate_rows(rows)
-    m = agg[(2.0, "mlda")]
-    assert m["n"] == 2
-    assert m["legit_bw_mean"] == pytest.approx(150.0)
-    assert m["legit_bw_min"] == 100.0
-    assert m["legit_bw_max"] == 200.0
-    assert m["loss_pkts_mean"] == pytest.approx(3.0)
-    assert m["loss_ratio_mean"] == pytest.approx(0.2)
-    assert agg[(2.0, "shrew")]["false_blocks_total"] == 1
 
 
 def test_detection_csv_writer(tmp_path):

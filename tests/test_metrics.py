@@ -2,6 +2,7 @@
 
 import pytest
 
+from roqsim.mac import DATA, OUT_DELIVERED, OUT_LIFETIME_DROP, Frame
 from roqsim.metrics import (
     ClassStats,
     FlowStats,
@@ -9,14 +10,20 @@ from roqsim.metrics import (
     packet_loss,
 )
 
+WARMUP_US = 1000
+
+
+def data(bits=8000, src=1):
+    return Frame(DATA, src, 0, bits)
+
 
 def test_flow_ledger_and_window_gating():
-    fs = FlowStats(1, is_attack=False)
-    fs.on_sent(8000, in_window=False)  # warm-up traffic
-    fs.on_sent(8000, in_window=True)
-    fs.on_delivered(8000)
-    fs.on_dropped(8000, "lifetime_drop", in_window=True)
-    fs.on_goodput(8000, in_window=True)
+    fs = FlowStats(1, is_attack=False, warmup_us=WARMUP_US)
+    fs.on_sent(data(), 0)  # warm-up traffic
+    fs.on_sent(data(), WARMUP_US)
+    fs.on_copy_done(data(), OUT_DELIVERED, 0)
+    fs.on_copy_done(data(), OUT_LIFETIME_DROP, WARMUP_US)
+    fs.on_goodput(data(), WARMUP_US)
     assert fs.sent_pkts == 2 and fs.w_sent_pkts == 1
     assert fs.delivered_pkts == 1
     assert fs.dropped_pkts == 1 and fs.w_dropped_pkts == 1
@@ -26,13 +33,28 @@ def test_flow_ledger_and_window_gating():
     assert fs.in_flight_bits == 0
 
 
+def test_window_starts_at_the_warmup_microsecond():
+    fs = FlowStats(1, is_attack=False, warmup_us=WARMUP_US)
+    fs.on_sent(data(100), WARMUP_US - 1)
+    fs.on_copy_done(data(100), OUT_LIFETIME_DROP, WARMUP_US - 1)
+    fs.on_goodput(data(100), WARMUP_US - 1)
+    assert (fs.w_sent_pkts, fs.w_dropped_pkts, fs.w_goodput_pkts) == (0, 0, 0)
+    fs.on_sent(data(100), WARMUP_US)
+    fs.on_copy_done(data(100), OUT_LIFETIME_DROP, WARMUP_US)
+    fs.on_goodput(data(100), WARMUP_US)
+    assert (fs.w_sent_pkts, fs.w_dropped_pkts, fs.w_goodput_pkts) == (1, 1, 1)
+    assert (fs.w_sent_bits, fs.w_dropped_bits, fs.w_goodput_bits) == (100, 100, 100)
+    # the full-run ledger counts both sides of the boundary
+    assert (fs.sent_pkts, fs.dropped_pkts, fs.goodput_pkts) == (2, 2, 2)
+
+
 def test_class_stats_sums_windowed_fields():
-    a = FlowStats(1, is_attack=False)
-    b = FlowStats(2, is_attack=False)
+    a = FlowStats(1, is_attack=False, warmup_us=WARMUP_US)
+    b = FlowStats(2, is_attack=False, warmup_us=WARMUP_US)
     for fs in (a, b):
-        fs.on_sent(100, in_window=True)
-        fs.on_goodput(100, in_window=True)
-    a.on_sent(100, in_window=False)  # outside the window: not aggregated
+        fs.on_sent(data(100), WARMUP_US)
+        fs.on_goodput(data(100), WARMUP_US)
+    a.on_sent(data(100), 0)  # outside the window: not aggregated
     cls = ClassStats()
     cls.add(a)
     cls.add(b)
@@ -47,15 +69,15 @@ def test_packet_loss():
 
 
 def test_conservation_audit_balanced():
-    fs = FlowStats(3, is_attack=True)
-    fs.on_sent(8000, True)
-    fs.on_sent(8000, True)
-    fs.on_delivered(8000)
+    fs = FlowStats(3, is_attack=True, warmup_us=0)
+    fs.on_sent(data(src=3), 0)
+    fs.on_sent(data(src=3), 0)
+    fs.on_copy_done(data(src=3), OUT_DELIVERED, 0)
     assert audit_conservation({3: fs}, {3: (1, 8000)}) is True
 
 
 def test_conservation_audit_detects_leak():
-    fs = FlowStats(3, is_attack=True)
-    fs.on_sent(8000, True)
+    fs = FlowStats(3, is_attack=True, warmup_us=0)
+    fs.on_sent(data(src=3), 0)
     with pytest.raises(AssertionError, match="node 3"):
         audit_conservation({3: fs}, {3: (0, 0)})  # one copy unaccounted for

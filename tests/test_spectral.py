@@ -137,7 +137,7 @@ def test_recorder_bins_and_window():
     assert rec.counts[0] == 2.0
     assert rec.counts[1] == 1.0
     assert rec.counts[15] == 1.0
-    assert rec.total == 4
+    assert sum(rec.counts) == 4.0
     with pytest.raises(ValueError):
         ArrivalRecorder(flow=1, bin_us=50_000, window_bins=12)
 

@@ -3,11 +3,10 @@
 import pytest
 
 from roqsim.kernel import RandomSource, Simulator
+from roqsim.mac import DATA, Frame
 from roqsim.traffic import (
-    CONG_AVOID,
     MAX_RTO_S,
     MIN_RTO_S,
-    SLOW_START,
     PulsedSource,
     TcpFlowState,
     TcpSink,
@@ -33,6 +32,11 @@ class FakeStation:
         self.queue.append(frame)
         self.sent.append(frame)
         return True
+
+
+def ack(seq_no):
+    """The sink's cumulative transport ACK for a flow of node 1."""
+    return Frame(DATA, 0, 1, 320, seq_no=seq_no)
 
 
 # -- estimator ---------------------------------------------------------------
@@ -75,14 +79,12 @@ def test_slow_start_doubles_per_rtt():
     for expect in (2, 3, 4, 5, 6, 7):
         apply_ack(flow)
         assert flow.cwnd == expect
-        assert flow.state == SLOW_START
     apply_ack(flow)
-    assert flow.cwnd == 8
-    assert flow.state == CONG_AVOID  # reached ssthresh
+    assert flow.cwnd == 8  # reached ssthresh
 
 
 def test_congestion_avoidance_one_per_window():
-    flow = TcpFlowState(cwnd=4, ssthresh=4, state=CONG_AVOID)
+    flow = TcpFlowState(cwnd=4, ssthresh=4)
     for _ in range(3):
         apply_ack(flow)
         assert flow.cwnd == 4
@@ -123,13 +125,13 @@ def test_ack_advances_window_and_samples_rtt():
     src = TcpSource(sim, st, 0, 8000, rwnd=32)
     src.start()  # cwnd=1: seq 1 in flight
     sim.run_until(200_000)
-    src.on_transport_ack(1, sim.now_us)
+    src.on_transport_ack(ack(1), sim.now_us)
     assert src.acked_hi == 1
     assert src.flow.srtt == pytest.approx(0.2)
     assert src.flow.cwnd == 2
     assert [f.seq_no for f in st.sent] == [1, 2, 3]
     # stale cumulative ACK is a no-op
-    src.on_transport_ack(1, sim.now_us)
+    src.on_transport_ack(ack(1), sim.now_us)
     assert src.acked_hi == 1 and src.flow.cwnd == 2
 
 
@@ -142,7 +144,7 @@ def test_karns_rule_skips_retransmitted_sample():
     assert src.timeouts == 1
     assert st.sent[-1].retransmitted is True
     sim.run_until(1_500_000)
-    src.on_transport_ack(1, sim.now_us)
+    src.on_transport_ack(ack(1), sim.now_us)
     assert src.flow.srtt is None  # ambiguous sample discarded
 
 
@@ -156,11 +158,11 @@ def test_timeout_then_go_back_n_repair():
     assert src.timeouts == 1
     assert src.recover_hi == 4
     assert st.sent[-1].seq_no == 1 and st.sent[-1].retransmitted
-    src.on_transport_ack(1, sim.now_us)  # each ACK clocks the next hole out
+    src.on_transport_ack(ack(1), sim.now_us)  # each ACK clocks the next hole out
     assert st.sent[-1].seq_no == 2 and st.sent[-1].retransmitted
-    src.on_transport_ack(2, sim.now_us)
+    src.on_transport_ack(ack(2), sim.now_us)
     assert st.sent[-1].seq_no == 3 and st.sent[-1].retransmitted
-    src.on_transport_ack(4, sim.now_us)  # cumulative ACK closes the hole
+    src.on_transport_ack(ack(4), sim.now_us)  # cumulative ACK closes the hole
     assert not any(f.seq_no > 4 and f.retransmitted for f in st.sent)
     assert src.outstanding() == src.next_seq - 5
 
