@@ -3,7 +3,7 @@ low-rate pulsed denial-of-quality attacks, with two defenses: congestion-bit
 monitoring at the access point and spectral analysis of arrival patterns."""
 
 from .config import RunConfig, config_from_dict, load_config
-from .defense import Thresholds, compute_cb, classify_cb, monitor_interval
+from .defense import compute_cb, classify_cb, monitor_interval
 from .harness import calibrate_thresholds, sweep_attackers, sweep_period
 from .runner import RunResult, SimulationRun, run_simulation
 
@@ -13,7 +13,6 @@ __all__ = [
     "RunConfig",
     "config_from_dict",
     "load_config",
-    "Thresholds",
     "compute_cb",
     "classify_cb",
     "monitor_interval",

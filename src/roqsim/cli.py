@@ -3,7 +3,6 @@
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import harness, spectral
 from .config import DEFENSE_MLDA, ConfigError, load_config
@@ -35,12 +34,11 @@ def _build_parser():
 
 def _cmd_run(args):
     cfg = load_config(args.config)
-    thresholds = None
     if cfg.defense == DEFENSE_MLDA:
-        thresholds = harness.resolve_thresholds(cfg)
+        cfg = harness.resolve_thresholds(cfg)
     trace_fh = open(args.trace, "w") if args.trace else None
     try:
-        run = SimulationRun(cfg, thresholds=thresholds, trace=trace_fh)
+        run = SimulationRun(cfg, trace=trace_fh)
         result = run.execute()
     finally:
         if trace_fh:
@@ -64,9 +62,9 @@ def _cmd_sweep(args):
         raise ConfigError("--workers must be at least 1, got %d" % args.workers)
     cfg = load_config(args.config)
     if args.axis == "attackers":
-        rows, _ = harness.sweep_attackers(cfg, workers=args.workers)
+        rows = harness.sweep_attackers(cfg, workers=args.workers)
     else:
-        rows, _ = harness.sweep_period(cfg, workers=args.workers)
+        rows = harness.sweep_period(cfg, workers=args.workers)
     harness.write_results_csv(args.out, rows)
     print("wrote %d rows to %s" % (len(rows), args.out))
     return 0
@@ -74,8 +72,10 @@ def _cmd_sweep(args):
 
 def _cmd_calibrate(args):
     cfg = load_config(args.config)
-    th = harness.calibrate_thresholds(cfg)
-    print(json.dumps(asdict(th), sort_keys=True))
+    mlda = harness.calibrate_thresholds(cfg)
+    # an mlda section a config can take as it is
+    keys = ("interval_s", "rc_th", "re_th", "se_th_s")
+    print(json.dumps({key: getattr(mlda, key) for key in keys}, sort_keys=True))
     return 0
 
 

@@ -13,6 +13,10 @@ DEFENSE_MLDA = "mlda"
 DEFENSE_SHREW = "shrew"
 DEFENSES = (DEFENSE_NONE, DEFENSE_MLDA, DEFENSE_SHREW)
 
+# how repeated mlda findings escalate to a block
+STREAK = "streak"
+ABSOLUTE = "absolute"
+
 # packet spacing is whole microseconds: a faster source would put every
 # arrival at one instant and the run would never advance
 MAX_RATE_PPS = 1_000_000
@@ -61,13 +65,13 @@ class AttackSection:
 @dataclass
 class MldaSection:
     interval_s: float = 1.0
-    escalation: str = "streak"  # or "absolute"
+    escalation: str = STREAK
     lying_attacker: bool = False
-    # thresholds, set all three or none; None means calibrate from an
-    # attack-free run first
-    rc_th: Optional[float] = None
-    se_th_s: Optional[float] = None
-    re_th: Optional[float] = None
+    # per-interval thresholds, a bit set only on strict excess; set all
+    # three or none, None meaning calibrate from an attack-free run first
+    rc_th: Optional[float] = None  # RTS/CTS frames
+    se_th_s: Optional[float] = None  # seconds of frozen backoff
+    re_th: Optional[float] = None  # retransmissions
 
 
 @dataclass
@@ -133,8 +137,8 @@ class RunConfig:
                 to_us(attack.period_s) < 1_000_000 // attack.rate_pps):
             raise ConfigError("attack.period_s must be at least the packet spacing of "
                               "attack.rate_pps, got %r" % attack.period_s)
-        if self.mlda.escalation not in ("streak", "absolute"):
-            raise ConfigError("mlda.escalation must be 'streak' or 'absolute'")
+        if self.mlda.escalation not in (STREAK, ABSOLUTE):
+            raise ConfigError("mlda.escalation must be %r or %r" % (STREAK, ABSOLUTE))
         unset = [name for name in _THRESHOLDS if _field(self, name) is None]
         if 0 < len(unset) < len(_THRESHOLDS):
             raise ConfigError("%s must be set: the mlda thresholds are set all together "

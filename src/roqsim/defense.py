@@ -10,14 +10,14 @@ findings escalate to a block.
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .config import STREAK
+from .kernel import to_us
+
 NOFINDING = "nofinding"
 NORMAL = "normal"
 SUSPECTED = "suspected"
 ATTACKER = "attacker"
 BLOCKED = "blocked"
-
-STREAK = "streak"
-ABSOLUTE = "absolute"
 
 # streak mode: consecutive findings needed before a block
 ATTACKER_STREAK_LIMIT = 3
@@ -38,47 +38,16 @@ class CongestionBits(NamedTuple):
         return int(self.c1) + int(self.c2) + int(self.c3)
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Per-interval counter thresholds; a bit is set only on strict excess."""
+def compute_cb(counters, mlda):
+    """Threshold one interval's counters against a config's mlda section.
 
-    rc_th: float  # RTS/CTS frames per interval
-    se_th_s: float  # seconds of frozen backoff per interval
-    re_th: float  # retransmissions per interval
-    interval_s: float = 1.0
-
-    def __post_init__(self):
-        for name in ("rc_th", "se_th_s", "re_th", "interval_s"):
-            v = getattr(self, name)
-            if not (v >= 0):
-                raise ValueError("threshold %s must be non-negative, got %r" % (name, v))
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-
-    @property
-    def se_th_us(self):
-        return int(round(self.se_th_s * 1_000_000))
-
-    @classmethod
-    def configured(cls, mlda):
-        """Thresholds set in a config's mlda section, or None if unset.
-
-        A validated config sets all three thresholds or none of them.
-        """
-        if mlda.rc_th is None:
-            return None
-        return cls(mlda.rc_th, mlda.se_th_s, mlda.re_th, mlda.interval_s)
-
-
-def compute_cb(counters, th):
-    """Threshold one interval's counters into congestion bits.
-
-    Equality does not set a bit; only counter > threshold does.
+    Equality does not set a bit; only counter > threshold does.  Frozen
+    backoff compares in whole microseconds, as the station counts it.
     """
     return CongestionBits(
-        counters.rts_cts > th.rc_th,
-        counters.busy_stop_us > th.se_th_us,
-        counters.retrans > th.re_th,
+        counters.rts_cts > mlda.rc_th,
+        counters.busy_stop_us > to_us(mlda.se_th_s),
+        counters.retrans > mlda.re_th,
     )
 
 
@@ -98,8 +67,6 @@ class MonitorState:
     """Mutable per-run monitoring state (statuses and streaks)."""
 
     def __init__(self, escalation=STREAK):
-        if escalation not in (STREAK, ABSOLUTE):
-            raise ValueError("escalation must be %r or %r" % (STREAK, ABSOLUTE))
         self.escalation = escalation
         self.statuses = {}
         self.interval_index = 0  # 1-based after the first processed interval

@@ -1,17 +1,17 @@
 """Calibration and experiment sweeps over the single-run simulator.
 
-Thresholds for the congestion-bit monitor come from an attack-free
-calibration run: each is 1.5x the per-node per-interval mean of the matching
-counter, with a floor of 3 on the retransmission threshold so sparse noise
-cannot trip it.  Sweeps vary either the attacker count or the attack period,
-run every (value, defense, seed) point, and emit one CSV row per point.
+The congestion-bit monitor's thresholds, in a config's mlda section, come
+from an attack-free calibration run when unset: each is 1.5x the per-node
+per-interval mean of the matching counter, with a floor of 3 on the
+retransmission threshold so sparse noise cannot trip it.  Sweeps vary
+either the attacker count or the attack period, run every (value, defense,
+seed) point, and emit one CSV row per point.
 """
 
 import csv
 from dataclasses import replace
 
 from .config import DEFENSE_MLDA, DEFENSE_NONE, DEFENSE_SHREW, ConfigError
-from .defense import Thresholds
 from .kernel import to_us
 from .metrics import packet_loss
 from .runner import run_simulation
@@ -45,19 +45,19 @@ def attack_free(config):
     return replace(config, defense=DEFENSE_NONE, attack=replace(config.attack, period_s=0.0))
 
 
-def thresholds_from_samples(rc_samples, se_samples_s, re_samples, interval_s=1.0):
-    """Fold per-node per-interval counter samples into detection thresholds."""
+def thresholds_from_samples(mlda, rc_samples, se_samples_s, re_samples):
+    """An mlda section with thresholds folded from per-node per-interval samples."""
     if not rc_samples:
         raise ValueError("no calibration samples")
     n = float(len(rc_samples))
     rc_th = CALIBRATION_MARGIN * (sum(rc_samples) / n)
     se_th_s = CALIBRATION_MARGIN * (sum(se_samples_s) / n)
     re_th = max(RETRANS_FLOOR, CALIBRATION_MARGIN * (sum(re_samples) / n))
-    return Thresholds(rc_th=rc_th, se_th_s=se_th_s, re_th=re_th, interval_s=interval_s)
+    return replace(mlda, rc_th=rc_th, se_th_s=se_th_s, re_th=re_th)
 
 
 def calibrate_thresholds(config):
-    """Measure attack-free per-interval counter means and scale them.
+    """The config's mlda section with thresholds from attack-free counter means.
 
     Refuses configs with an active attack: thresholds learned under attack
     would bake the anomaly into the baseline.  A config whose first
@@ -86,12 +86,14 @@ def calibrate_thresholds(config):
         rc.append(rec.server_rts_cts)
         se.append(rec.busy_stop_us / 1e6)
         re.append(rec.retrans)
-    return thresholds_from_samples(rc, se, re, interval_s=cfg.mlda.interval_s)
+    return thresholds_from_samples(cfg.mlda, rc, se, re)
 
 
 def resolve_thresholds(config):
-    """Use explicitly configured thresholds if set, else calibrate."""
-    return Thresholds.configured(config.mlda) or calibrate_thresholds(attack_free(config))
+    """The config itself if its mlda thresholds are set, else a copy calibrated."""
+    if config.mlda.rc_th is not None:
+        return config
+    return replace(config, mlda=calibrate_thresholds(attack_free(config)))
 
 
 # sweep axis -> (its list in the sweep section, the attack field it sets, that field's type)
@@ -109,8 +111,8 @@ def _point_config(config, axis, value, defense, seed):
 
 def run_point(args):
     """One sweep point; module-level so process pools can pickle it."""
-    axis, value, defense, seed, cfg, thresholds = args
-    result = run_simulation(cfg, thresholds=thresholds)
+    axis, value, defense, seed, cfg = args
+    result = run_simulation(cfg)
     loss_pkts, loss_ratio = packet_loss(result.legit)
     return (
         axis,
@@ -141,25 +143,29 @@ def _run_points(points, workers):
 def _sweep(config, axis, workers=1):
     """Run every (value, defense, seed) point of one sweep axis.
 
-    Every point's config is checked before the calibration run, so a bad
-    sweep item fails at once and is named.
+    Every point's config is checked before the calibration run, so an empty
+    sweep list or a bad sweep item fails at once and is named.
     """
     config.validate()
     key = _AXES[axis][0]
-    points = []
-    for i, value in enumerate(getattr(config.sweep, key)):
-        for defense in (DEFENSE_MLDA, DEFENSE_SHREW):
-            for seed in config.sweep.seeds:
-                cfg = _point_config(config, axis, value, defense, seed)
-                try:
-                    cfg.validate()
-                except ConfigError as exc:
-                    raise ConfigError("sweep.%s[%d]: %s" % (key, i, exc)) from None
-                points.append((axis, value, defense, seed, cfg))
-    thresholds = resolve_thresholds(config)
-    rows = _run_points([p + (thresholds,) for p in points], workers)
+    for name in (key, "seeds"):
+        if not getattr(config.sweep, name):
+            raise ConfigError("sweep.%s is empty, so the sweep has no points" % name)
+    points = [(i, value, defense, seed)
+              for i, value in enumerate(getattr(config.sweep, key))
+              for defense in (DEFENSE_MLDA, DEFENSE_SHREW)
+              for seed in config.sweep.seeds]
+    for i, value, defense, seed in points:
+        try:
+            _point_config(config, axis, value, defense, seed).validate()
+        except ConfigError as exc:
+            raise ConfigError("sweep.%s[%d]: %s" % (key, i, exc)) from None
+    config = resolve_thresholds(config)
+    rows = _run_points([(axis, value, defense, seed,
+                         _point_config(config, axis, value, defense, seed))
+                        for _, value, defense, seed in points], workers)
     rows.sort(key=lambda r: (float(r[1]), r[2], r[3]))
-    return rows, thresholds
+    return rows
 
 
 def sweep_attackers(config, workers=1):

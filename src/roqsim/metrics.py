@@ -20,7 +20,6 @@ class FlowStats:
     """
 
     __slots__ = (
-        "node",
         "is_attack",
         "warmup_us",
         "sent_pkts",
@@ -30,18 +29,12 @@ class FlowStats:
         "dropped_pkts",
         "dropped_bits",
         "drop_causes",
-        "goodput_pkts",
-        "goodput_bits",
         "w_sent_pkts",
-        "w_sent_bits",
         "w_dropped_pkts",
-        "w_dropped_bits",
-        "w_goodput_pkts",
         "w_goodput_bits",
     )
 
-    def __init__(self, node, is_attack, warmup_us):
-        self.node = node
+    def __init__(self, is_attack, warmup_us):
         self.is_attack = is_attack
         self.warmup_us = warmup_us
         self.sent_pkts = 0
@@ -51,13 +44,8 @@ class FlowStats:
         self.dropped_pkts = 0
         self.dropped_bits = 0
         self.drop_causes = {}
-        self.goodput_pkts = 0
-        self.goodput_bits = 0
         self.w_sent_pkts = 0
-        self.w_sent_bits = 0
         self.w_dropped_pkts = 0
-        self.w_dropped_bits = 0
-        self.w_goodput_pkts = 0
         self.w_goodput_bits = 0
 
     def on_sent(self, frame, now):
@@ -66,7 +54,6 @@ class FlowStats:
         self.sent_bits += bits
         if now >= self.warmup_us:
             self.w_sent_pkts += 1
-            self.w_sent_bits += bits
 
     def on_copy_done(self, frame, outcome, now):
         if outcome == OUT_DELIVERED:
@@ -84,15 +71,10 @@ class FlowStats:
         self.drop_causes[cause] = self.drop_causes.get(cause, 0) + 1
         if in_window:
             self.w_dropped_pkts += 1
-            self.w_dropped_bits += bits
 
     def on_goodput(self, frame, now):
-        bits = frame.payload_bits
-        self.goodput_pkts += 1
-        self.goodput_bits += bits
         if now >= self.warmup_us:
-            self.w_goodput_pkts += 1
-            self.w_goodput_bits += bits
+            self.w_goodput_bits += frame.payload_bits
 
     @property
     def in_flight_pkts(self):
@@ -108,17 +90,13 @@ class ClassStats:
     """Aggregate over the flows of one traffic class (legit or attack)."""
 
     goodput_bits: int = 0
-    goodput_pkts: int = 0
     sent_pkts: int = 0
     dropped_pkts: int = 0
-    dropped_bits: int = 0
 
     def add(self, fs):
         self.goodput_bits += fs.w_goodput_bits
-        self.goodput_pkts += fs.w_goodput_pkts
         self.sent_pkts += fs.w_sent_pkts
         self.dropped_pkts += fs.w_dropped_pkts
-        self.dropped_bits += fs.w_dropped_bits
 
 
 def packet_loss(stats):

@@ -12,7 +12,6 @@ counters.
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import defense as dfs
 from . import spectral
@@ -45,7 +44,6 @@ class RunResult:
     false_blocks: int
     detection_rows: list
     verdicts: list
-    thresholds: Optional[dfs.Thresholds]
     interval_records: list = field(default_factory=list)
     timeouts: int = 0
 
@@ -61,7 +59,7 @@ class RunResult:
 class SimulationRun:
     """One configured run; call execute() once."""
 
-    def __init__(self, config, thresholds=None, trace=None):
+    def __init__(self, config, trace=None):
         config.validate()
         self.config = config
         self.trace = trace
@@ -74,8 +72,7 @@ class SimulationRun:
         self.attacker_nodes = config.attacker_nodes()
         self.monitored = self.legit_nodes + self.attacker_nodes  # in node order
         self.blocklist = set()
-        self.thresholds = thresholds or dfs.Thresholds.configured(config.mlda)
-        if config.defense == DEFENSE_MLDA and self.thresholds is None:
+        if config.defense == DEFENSE_MLDA and config.mlda.rc_th is None:
             raise ValueError(
                 "defense 'mlda' needs thresholds; calibrate first or set them in config"
             )
@@ -109,7 +106,7 @@ class SimulationRun:
 
         for node in self.legit_nodes:
             st = Station(sim, self.medium, self.phy, node, sim.rng.fork(node))
-            fs = self.stats[node] = FlowStats(node, False, self.warmup_us)
+            fs = self.stats[node] = FlowStats(False, self.warmup_us)
             src = self.tcp_sources[node] = TcpSource(
                 sim, st, cfg.ap_node, cfg.legit.packet_bits, cfg.legit.rwnd,
                 app_rate_pps=cfg.legit.app_rate_pps,
@@ -132,7 +129,7 @@ class SimulationRun:
                 queue_cap=cfg.attack.queue_cap,
                 cw_base=cfg.attack.cw,
             )
-            fs = self.stats[node] = FlowStats(node, True, self.warmup_us)
+            fs = self.stats[node] = FlowStats(True, self.warmup_us)
             st.on_enqueue = fs.on_sent
             st.on_copy_done = fs.on_copy_done
             self.stations[node] = st
@@ -201,9 +198,9 @@ class SimulationRun:
     def _on_interval(self):
         self._interval_idx += 1
         idx = self._interval_idx
-        th = self.thresholds
+        mlda = self.config.mlda
         mlda_on = self.config.defense == DEFENSE_MLDA
-        lying = self.config.mlda.lying_attacker
+        lying = mlda.lying_attacker
         tap = self._tap_rts_cts
         bits = {}
         for node in self.monitored:
@@ -215,11 +212,11 @@ class SimulationRun:
             if mlda_on:
                 # the AP counts RTS/CTS itself and takes the other two bits as stamped
                 bits[node] = dfs.CongestionBits(
-                    tap[node] > th.rc_th, node in self._stamp_c2, node in self._stamp_c3
+                    tap[node] > mlda.rc_th, node in self._stamp_c2, node in self._stamp_c3
                 )
                 # next interval every honest node stamps its own bits of this one
                 lies = st.aggressive and lying
-                st.stamp_cb = "000" if lies else str(dfs.compute_cb(counters, th))
+                st.stamp_cb = "000" if lies else str(dfs.compute_cb(counters, mlda))
 
         if mlda_on:
             for node, cb, status in dfs.monitor_interval(self.monitor, bits):
@@ -285,11 +282,10 @@ class SimulationRun:
             false_blocks=false_blocks,
             detection_rows=self.detection_rows,
             verdicts=self.verdicts,
-            thresholds=self.thresholds,
             interval_records=self.interval_records,
             timeouts=sum(src.timeouts for src in self.tcp_sources.values()),
         )
 
 
-def run_simulation(config, thresholds=None, trace=None):
-    return SimulationRun(config, thresholds=thresholds, trace=trace).execute()
+def run_simulation(config, trace=None):
+    return SimulationRun(config, trace=trace).execute()

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 LEGIT = "legit"
 ATTACK = "attack"
 
-DEFAULT_RATIO_THRESHOLD = 0.7
-
 
 def power_spectrum(counts):
     """One-sided energy spectrum of a mean-removed series.
@@ -70,7 +68,7 @@ def low_freq_ratio(energy, cutoff_hz, bin_s):
     return float(energy[freqs <= cutoff_hz].sum() / total)
 
 
-def classify_flow(ratio, threshold=DEFAULT_RATIO_THRESHOLD):
+def classify_flow(ratio, threshold):
     """Attack verdict only on strict excess of the ratio threshold."""
     return ATTACK if ratio > threshold else LEGIT
 
@@ -87,8 +85,6 @@ class ArrivalRecorder:
     """Accumulates per-flow packet arrival counts into fixed-width bins."""
 
     def __init__(self, flow, bin_us, window_bins):
-        if window_bins < 2 or window_bins & (window_bins - 1):
-            raise ValueError("window_bins must be a power of two, got %d" % window_bins)
         self.flow = flow
         self.bin_us = bin_us
         self.window_bins = window_bins

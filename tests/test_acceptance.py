@@ -12,7 +12,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from roqsim.config import RunConfig, config_from_dict
+from roqsim.config import MldaSection, RunConfig, config_from_dict
 from roqsim.defense import (
     ATTACKER,
     BLOCKED,
@@ -21,7 +21,6 @@ from roqsim.defense import (
     SUSPECTED,
     CongestionBits,
     MonitorState,
-    Thresholds,
     classify_cb,
     compute_cb,
     monitor_interval,
@@ -70,7 +69,7 @@ def calibrated():
 
 def test_criterion_1_congestion_bit_truth_table():
     t0 = time.monotonic()
-    th = Thresholds(rc_th=10.0, se_th_s=0.5, re_th=3.0)
+    th = MldaSection(rc_th=10.0, se_th_s=0.5, re_th=3.0)
     checked = 0
     for bits in itertools.product((0, 1), repeat=3):
         counters = IntervalCounters(
@@ -141,7 +140,7 @@ def test_criterion_2_escalation_block_timing():
 def test_criterion_3_attacker_sweep_bandwidth_and_loss_ordering():
     t0 = time.monotonic()
     cfg = RunConfig()  # counts {2,4,6,8} x 5 seeds x 100 s
-    rows, _ = sweep_attackers(cfg)
+    rows = sweep_attackers(cfg)
     agg = mean_by_point(rows)
     problems = []
     for count in cfg.sweep.attacker_counts:
@@ -164,7 +163,7 @@ def test_criterion_4_period_sweep_ordering_and_no_attack_agreement():
     cfg = config_from_dict(
         asdict(RunConfig()) | {"attack": {"burst_s": 1.0, "rate_pps": 600}}
     )
-    rows, _ = sweep_period(cfg)
+    rows = sweep_period(cfg)
     agg = mean_by_point(rows)
     problems = []
     for period in cfg.sweep.periods_s:
@@ -216,7 +215,8 @@ def test_criterion_6_no_false_blocks_attack_free(calibrated):
         d["seed"] = seed
         d["defense"] = "mlda"
         d["attack"]["count"] = 0
-        res = run_simulation(config_from_dict(d), thresholds=th)
+        d["mlda"] = asdict(th)
+        res = run_simulation(config_from_dict(d))
         block_rows += sum(1 for r in res.detection_rows if r[4] == "block")
         blocked_nodes |= res.blocked
     elapsed = time.monotonic() - t0 + cal_s
@@ -236,7 +236,8 @@ def test_criterion_7_blocking_restores_bandwidth(calibrated):
         d["seed"] = seed
         d["defense"] = "mlda"
         d["attack"]["count"] = 8
-        res = run_simulation(config_from_dict(d), thresholds=th)
+        d["mlda"] = asdict(th)
+        res = run_simulation(config_from_dict(d))
         attackers = {n for n, fs in res.flows.items() if fs.is_attack}
         assert attackers <= res.blocked, "not every attacker was blocked"
         assert not (res.blocked - attackers), "a legitimate node was blocked"
@@ -283,16 +284,16 @@ def test_criterion_9_determinism_and_conservation(tmp_path):
         "sweep": {"attacker_counts": [2], "periods_s": [0.0], "seeds": [1, 2]},
     }
     cfg = config_from_dict(small)
-    rows1, _ = sweep_attackers(cfg)
-    rows2, _ = sweep_attackers(cfg)
+    rows1 = sweep_attackers(cfg)
+    rows2 = sweep_attackers(cfg)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_results_csv(str(a), rows1)
     write_results_csv(str(b), rows2)
     identical = a.read_bytes() == b.read_bytes()
 
     run = SimulationRun(
-        config_from_dict({"duration_s": 30.0, "warmup_s": 10.0, "defense": "mlda"}),
-        thresholds=Thresholds(45.0, 0.05, 3.0),
+        config_from_dict({"duration_s": 30.0, "warmup_s": 10.0, "defense": "mlda",
+                          "mlda": {"rc_th": 45.0, "se_th_s": 0.05, "re_th": 3.0}}),
     )
     result = run.execute()  # internal per-flow audit also runs here
     balanced = True

@@ -65,11 +65,21 @@ def test_sweep_writes_results(tmp_path, config_path):
 
 def test_calibrate_prints_json(tmp_path, capsys):
     quiet = tmp_path / "quiet.json"
-    quiet.write_text(json.dumps(dict(SMALL, attack={"count": 0})))
+    quiet.write_text(json.dumps(dict(SMALL, attack={"period_s": 0.0})))
     assert main(["calibrate", "--config", str(quiet)]) == 0
     th = json.loads(capsys.readouterr().out)
     assert set(th) == {"rc_th", "se_th_s", "re_th", "interval_s"}
     assert th["re_th"] >= 3.0
+    # the JSON is an mlda section: a run that takes it prints what the run
+    # that calibrates on the same attack-free network prints
+    outputs = []
+    for mlda in ({}, th):
+        path = tmp_path / "mlda.json"
+        path.write_text(json.dumps(dict(SMALL, defense="mlda", mlda=mlda)))
+        assert main(["run", "--config", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "blocked=[]" not in outputs[0]  # the thresholds were put to use
 
 
 def test_missing_config_is_a_config_error(tmp_path, capsys):
@@ -166,6 +176,12 @@ def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):
                      "sweep.attacker_counts[1]: attack.count must be >= 0", id="attackers"),
         pytest.param("period", {"periods_s": [0.0, 0.3]},
                      "sweep.periods_s[1]: attack.burst_s must be shorter", id="period"),
+        # an empty list would calibrate, then write a header-only CSV and exit 0
+        pytest.param("attackers", {"seeds": []}, "sweep.seeds is empty", id="seeds-empty"),
+        pytest.param("attackers", {"attacker_counts": []}, "sweep.attacker_counts is empty",
+                     id="attacker-counts-empty"),
+        pytest.param("period", {"periods_s": []}, "sweep.periods_s is empty",
+                     id="periods-empty"),
     ],
 )
 def test_bad_sweep_item_exits_1_before_any_run(tmp_path, monkeypatch, capsys, axis, sweep,

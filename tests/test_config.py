@@ -59,6 +59,7 @@ def test_attack_enabled_logic():
         {"shrew": {"window_bins": 1000}},
         {"shrew": {"bin_s": 0.0}},
         {"shrew": {"cutoff_hz": 11.0}},  # above Nyquist for 50 ms bins
+        {"phy": {"cw_min": 64, "cw_max": 31}},
     ],
 )
 def test_invalid_configs_rejected(overrides):

@@ -4,24 +4,22 @@ import itertools
 
 import pytest
 
+from roqsim.config import ABSOLUTE, STREAK, ConfigError, MldaSection, config_from_dict
 from roqsim.defense import (
-    ABSOLUTE,
     ATTACKER,
     BLOCKED,
     NOFINDING,
     NORMAL,
-    STREAK,
     SUSPECTED,
     CongestionBits,
     MonitorState,
-    Thresholds,
     classify_cb,
     compute_cb,
     monitor_interval,
 )
 from roqsim.mac import IntervalCounters
 
-TH = Thresholds(rc_th=10.0, se_th_s=0.5, re_th=3.0)
+TH = MldaSection(rc_th=10.0, se_th_s=0.5, re_th=3.0)
 
 # observation that produces exactly the wanted bit pattern under TH
 BIT_COUNTERS = {
@@ -72,11 +70,15 @@ def test_congestion_bits_string_round_trip():
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError):
-        Thresholds(rc_th=-1, se_th_s=0.5, re_th=3)
-    with pytest.raises(ValueError):
-        Thresholds(rc_th=1, se_th_s=0.5, re_th=3, interval_s=0)
-    assert Thresholds(1, 0.0512, 3).se_th_us == 51_200
+    with pytest.raises(ConfigError, match="mlda.rc_th"):
+        config_from_dict({"mlda": {"rc_th": -1, "se_th_s": 0.5, "re_th": 3}})
+    with pytest.raises(ConfigError, match="mlda.interval_s"):
+        config_from_dict({"mlda": {"rc_th": 1, "se_th_s": 0.5, "re_th": 3, "interval_s": 0}})
+    # frozen backoff compares in whole microseconds: 0.000249 s is
+    # 248.99999999999997 us as a float, 249 us once rounded
+    th = MldaSection(rc_th=1, se_th_s=0.000249, re_th=3)
+    assert not compute_cb(IntervalCounters(rts_cts=0, busy_stop_us=249, retrans=0), th).c2
+    assert compute_cb(IntervalCounters(rts_cts=0, busy_stop_us=250, retrans=0), th).c2
 
 
 def drive(state, codes_by_node):
@@ -185,11 +187,6 @@ def test_block_without_finding_reports_empty_bits():
     drive(state, {1: "000", 2: "000"})
     drive(state, {1: "111", 2: "100"})
     assert drive(state, {1: "000", 2: "000"}) == [(1, bits_of("000"), BLOCKED)]
-
-
-def test_monitor_state_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        MonitorState(escalation="aggressive")
 
 
 # -- exhaustive cross-check against an independent replay ---------------------

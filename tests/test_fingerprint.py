@@ -1,5 +1,6 @@
 """Pinned SHA-256 fingerprints of what a user reads: run stdout, the event
-trace, the detections CSV, the arrival spectra CSV and a sweep's results CSV.
+trace, the detections CSV, the arrival spectra CSV, a sweep's results CSV and
+the thresholds calibrate prints.
 
 The trace lists every dispatched event with its fire time, sequence number,
 kind and detail, so its digest pins the whole event stream, not only the
@@ -38,6 +39,10 @@ SWEEP_CSV_SHA256 = "2dc0722242621b7f9fd74105fd1b94e1fa6301955a028ff4bf8e54bdef6d
 SPECTRA_RUN = {"duration_s": 15.0, "seed": 4, "defense": "shrew", "attack": {"count": 2},
                "shrew": {"window_bins": 256}}
 SPECTRA_CSV_SHA256 = "66f811b3b9b8a7d68f5bba21db1665dc09d08657b3137aa475d1e1c78a42eee0"
+
+# the traced run's network without its attackers
+CALIBRATE_RUN = {"duration_s": 20.0, "seed": 3, "attack": {"count": 0}}
+CALIBRATE_STDOUT_SHA256 = "195e3a3e3bd19dbf81121d21b314e9ab6c73da505c5827edaba11f874b63bc9b"
 
 
 def _sha256(data):
@@ -96,3 +101,9 @@ def test_spectra_csv_is_pinned(tmp_path):
                "--dump-spectra", str(spectra)])
     assert rc == 0
     assert _sha256(spectra.read_bytes()) == SPECTRA_CSV_SHA256
+
+
+def test_calibrate_stdout_is_pinned(tmp_path, capsys):
+    rc = main(["calibrate", "--config", _write_config(tmp_path, CALIBRATE_RUN)])
+    assert rc == 0
+    assert _sha256(capsys.readouterr().out.encode()) == CALIBRATE_STDOUT_SHA256

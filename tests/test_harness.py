@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from roqsim import harness
-from roqsim.config import ConfigError, RunConfig, config_from_dict
+from roqsim.config import ConfigError, MldaSection, RunConfig, config_from_dict
 from roqsim.harness import (
     DETECTIONS_HEADER,
     RESULTS_HEADER,
@@ -29,15 +29,17 @@ SMALL = {
 
 
 def test_thresholds_from_samples_scale_and_floor():
-    th = thresholds_from_samples([20, 40], [0.02, 0.06], [0, 1], interval_s=1.0)
+    th = thresholds_from_samples(MldaSection(), [20, 40], [0.02, 0.06], [0, 1])
     assert th.rc_th == pytest.approx(45.0)  # 1.5 * mean(30)
     assert th.se_th_s == pytest.approx(0.06)
     assert th.re_th == 3.0  # 1.5 * 0.5 is under the floor
-    th2 = thresholds_from_samples([1], [0.0], [4], interval_s=2.0)
+    mlda = MldaSection(interval_s=2.0, escalation="absolute")
+    th2 = thresholds_from_samples(mlda, [1], [0.0], [4])
     assert th2.re_th == 6.0  # above the floor the scaled mean wins
-    assert th2.interval_s == 2.0
+    assert (th2.interval_s, th2.escalation) == (2.0, "absolute")  # the rest is kept
+    assert mlda.rc_th is None  # the section passed in is untouched
     with pytest.raises(ValueError):
-        thresholds_from_samples([], [], [])
+        thresholds_from_samples(MldaSection(), [], [], [])
 
 
 def test_attack_free_strips_attack_and_defense():
@@ -88,23 +90,31 @@ def test_calibration_is_deterministic_and_positive():
     th1 = calibrate_thresholds(cfg)
     th2 = calibrate_thresholds(cfg)
     assert th1 == th2
+    assert replace(th1, rc_th=None, se_th_s=None, re_th=None) == cfg.mlda
     assert th1.rc_th > 0
     assert th1.se_th_s > 0
     assert th1.re_th >= 3.0
 
 
-def test_resolve_prefers_configured_thresholds():
+def test_resolve_prefers_configured_thresholds(monkeypatch):
     cfg = config_from_dict(
         {"mlda": {"rc_th": 9.0, "se_th_s": 0.1, "re_th": 4.0, "interval_s": 2.0}}
     )
-    th = resolve_thresholds(cfg)
-    assert (th.rc_th, th.se_th_s, th.re_th, th.interval_s) == (9.0, 0.1, 4.0, 2.0)
+    monkeypatch.setattr(harness, "run_simulation", None)  # no calibration run
+    assert resolve_thresholds(cfg) is cfg
+
+
+def test_resolve_calibrates_unset_thresholds():
+    cfg = config_from_dict(dict(SMALL, defense="mlda"))
+    resolved = resolve_thresholds(cfg)
+    assert resolved.mlda == calibrate_thresholds(attack_free(cfg))
+    assert replace(resolved, mlda=cfg.mlda) == cfg  # only the thresholds differ
+    assert cfg.mlda.rc_th is None  # the config passed in is untouched
 
 
 def test_run_point_row_is_deterministic():
-    cfg = config_from_dict(SMALL)
-    th = calibrate_thresholds(attack_free(cfg))
-    args = ("attackers", 2, "mlda", 1, replace(cfg, defense="mlda"), th)
+    cfg = resolve_thresholds(config_from_dict(SMALL))
+    args = ("attackers", 2, "mlda", 1, replace(cfg, defense="mlda"))
     row1 = run_point(args)
     row2 = run_point(args)
     assert row1 == row2
@@ -114,9 +124,8 @@ def test_run_point_row_is_deterministic():
 
 def test_sweep_rows_and_csv_stability(tmp_path):
     cfg = config_from_dict(SMALL)
-    rows1, th1 = sweep_attackers(cfg)
-    rows2, th2 = sweep_attackers(cfg)
-    assert th1 == th2
+    rows1 = sweep_attackers(cfg)
+    rows2 = sweep_attackers(cfg)
     assert rows1 == rows2
     assert [r[:4] for r in rows1] == [
         ("attackers", 2, "mlda", 1),
@@ -132,8 +141,8 @@ def test_sweep_rows_and_csv_stability(tmp_path):
 
 def test_parallel_sweep_matches_serial():
     cfg = config_from_dict(SMALL)
-    rows_serial, _ = sweep_attackers(cfg, workers=1)
-    rows_parallel, _ = sweep_attackers(cfg, workers=2)
+    rows_serial = sweep_attackers(cfg, workers=1)
+    rows_parallel = sweep_attackers(cfg, workers=2)
     assert rows_serial == rows_parallel
 
 

@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from roqsim.config import PhySection, config_from_dict
+from roqsim.config import config_from_dict
 from roqsim.kernel import Simulator
 from roqsim.mac import (
     DATA,
@@ -64,13 +64,6 @@ def test_airtime_arithmetic():
     assert phy.airtime_us(1) == 1  # ceiling division, never zero-length
     assert phy.exchange_tail_us(8000) == 3 * 10 + 56 + 4112 + 56
     assert phy.cts_timeout_us == 10 + 56 + 2 * 20
-
-
-def test_phy_validation():
-    with pytest.raises(ValueError):
-        PhyParams(PhySection(slot_us=0))
-    with pytest.raises(ValueError):
-        PhyParams(PhySection(cw_min=64, cw_max=31))
 
 
 def test_single_exchange_timing():

@@ -18,7 +18,7 @@ def data(bits=8000, src=1):
 
 
 def test_flow_ledger_and_window_gating():
-    fs = FlowStats(1, is_attack=False, warmup_us=WARMUP_US)
+    fs = FlowStats(is_attack=False, warmup_us=WARMUP_US)
     fs.on_sent(data(), 0)  # warm-up traffic
     fs.on_sent(data(), WARMUP_US)
     fs.on_copy_done(data(), OUT_DELIVERED, 0)
@@ -27,30 +27,29 @@ def test_flow_ledger_and_window_gating():
     assert fs.sent_pkts == 2 and fs.w_sent_pkts == 1
     assert fs.delivered_pkts == 1
     assert fs.dropped_pkts == 1 and fs.w_dropped_pkts == 1
-    assert fs.goodput_bits == 8000 and fs.w_goodput_bits == 8000
+    assert fs.w_goodput_bits == 8000
     assert fs.drop_causes == {"lifetime_drop": 1}
     assert fs.in_flight_pkts == 0
     assert fs.in_flight_bits == 0
 
 
 def test_window_starts_at_the_warmup_microsecond():
-    fs = FlowStats(1, is_attack=False, warmup_us=WARMUP_US)
+    fs = FlowStats(is_attack=False, warmup_us=WARMUP_US)
     fs.on_sent(data(100), WARMUP_US - 1)
     fs.on_copy_done(data(100), OUT_LIFETIME_DROP, WARMUP_US - 1)
     fs.on_goodput(data(100), WARMUP_US - 1)
-    assert (fs.w_sent_pkts, fs.w_dropped_pkts, fs.w_goodput_pkts) == (0, 0, 0)
+    assert (fs.w_sent_pkts, fs.w_dropped_pkts, fs.w_goodput_bits) == (0, 0, 0)
     fs.on_sent(data(100), WARMUP_US)
     fs.on_copy_done(data(100), OUT_LIFETIME_DROP, WARMUP_US)
     fs.on_goodput(data(100), WARMUP_US)
-    assert (fs.w_sent_pkts, fs.w_dropped_pkts, fs.w_goodput_pkts) == (1, 1, 1)
-    assert (fs.w_sent_bits, fs.w_dropped_bits, fs.w_goodput_bits) == (100, 100, 100)
+    assert (fs.w_sent_pkts, fs.w_dropped_pkts, fs.w_goodput_bits) == (1, 1, 100)
     # the full-run ledger counts both sides of the boundary
-    assert (fs.sent_pkts, fs.dropped_pkts, fs.goodput_pkts) == (2, 2, 2)
+    assert (fs.sent_pkts, fs.dropped_pkts, fs.dropped_bits) == (2, 2, 200)
 
 
 def test_class_stats_sums_windowed_fields():
-    a = FlowStats(1, is_attack=False, warmup_us=WARMUP_US)
-    b = FlowStats(2, is_attack=False, warmup_us=WARMUP_US)
+    a = FlowStats(is_attack=False, warmup_us=WARMUP_US)
+    b = FlowStats(is_attack=False, warmup_us=WARMUP_US)
     for fs in (a, b):
         fs.on_sent(data(100), WARMUP_US)
         fs.on_goodput(data(100), WARMUP_US)
@@ -69,7 +68,7 @@ def test_packet_loss():
 
 
 def test_conservation_audit_balanced():
-    fs = FlowStats(3, is_attack=True, warmup_us=0)
+    fs = FlowStats(is_attack=True, warmup_us=0)
     fs.on_sent(data(src=3), 0)
     fs.on_sent(data(src=3), 0)
     fs.on_copy_done(data(src=3), OUT_DELIVERED, 0)
@@ -77,7 +76,7 @@ def test_conservation_audit_balanced():
 
 
 def test_conservation_audit_detects_leak():
-    fs = FlowStats(3, is_attack=True, warmup_us=0)
+    fs = FlowStats(is_attack=True, warmup_us=0)
     fs.on_sent(data(src=3), 0)
     with pytest.raises(AssertionError, match="node 3"):
         audit_conservation({3: fs}, {3: (0, 0)})  # one copy unaccounted for

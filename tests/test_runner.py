@@ -5,13 +5,12 @@ import io
 import pytest
 
 from roqsim.config import config_from_dict
-from roqsim.defense import Thresholds
 from roqsim.kernel import Simulator
 from roqsim.mac import OUT_BLOCKED_DROP
 from roqsim.runner import SimulationRun, run_simulation
 
 # explicit detection thresholds so these tests skip the calibration run
-TH = Thresholds(rc_th=45.0, se_th_s=0.05, re_th=3.0)
+TH = {"rc_th": 45.0, "se_th_s": 0.05, "re_th": 3.0}
 
 
 def cfg(**over):
@@ -24,8 +23,8 @@ def test_attack_free_runs_identically_under_every_defense():
     # idle defenses must not perturb the event sequence
     results = {}
     for defense in ("none", "mlda", "shrew"):
-        c = cfg(defense=defense, attack={"count": 0})
-        results[defense] = run_simulation(c, thresholds=TH)
+        c = cfg(defense=defense, attack={"count": 0}, mlda=TH)
+        results[defense] = run_simulation(c)
     bits = {d: r.legit.goodput_bits for d, r in results.items()}
     assert bits["none"] == bits["mlda"] == bits["shrew"]
     assert all(not r.blocked for r in results.values())
@@ -59,20 +58,20 @@ def test_pulsed_attack_degrades_undefended_flows():
 
 
 def test_mlda_blocks_attackers_and_spares_victims():
-    r = run_simulation(cfg(defense="mlda"), thresholds=TH)
+    r = run_simulation(cfg(defense="mlda", mlda=TH))
     attackers = {n for n, fs in r.flows.items() if fs.is_attack}
     assert r.blocked == attackers
     assert r.false_blocks == 0
     blocks = [row for row in r.detection_rows if row[4] == "block"]
     assert sorted(row[1] for row in blocks) == sorted(attackers)
     assert all(row[0] <= 6 for row in blocks)  # caught within a few intervals
-    run = SimulationRun(cfg(defense="mlda"), thresholds=TH)
+    run = SimulationRun(cfg(defense="mlda", mlda=TH))
     run.execute()
     assert all(run.stations[n].disabled for n in attackers)
 
 
 def test_blocked_attacker_sources_stop_at_the_block():
-    run = SimulationRun(cfg(defense="mlda"), thresholds=TH)
+    run = SimulationRun(cfg(defense="mlda", mlda=TH))
     at_block = {}  # node -> (arrivals, copies queued) when the block lands
     block = run._block
 
@@ -94,15 +93,15 @@ def test_blocked_attacker_sources_stop_at_the_block():
 
 def test_mlda_recovers_legit_bandwidth():
     clean = run_simulation(cfg(attack={"count": 0}))
-    defended = run_simulation(cfg(defense="mlda"), thresholds=TH)
+    defended = run_simulation(cfg(defense="mlda", mlda=TH))
     assert defended.legit_bw_bps >= 0.7 * clean.legit_bw_bps
 
 
 def test_lying_attackers_evade_stamp_based_bits():
     # zeroed stamps leave only the server-counted bit: grade caps at Normal,
     # so the marking-dependent escalation never reaches the real attackers
-    c = cfg(defense="mlda", mlda={"lying_attacker": True})
-    r = run_simulation(c, thresholds=TH)
+    c = cfg(defense="mlda", mlda=dict(TH, lying_attacker=True))
+    r = run_simulation(c)
     attackers = {n for n, fs in r.flows.items() if fs.is_attack}
     assert not (attackers & r.blocked)
 
@@ -135,18 +134,6 @@ def test_trace_output():
         assert len(line.split("\t")) == 4
 
 
-def test_configured_thresholds_match_explicit_ones():
-    # no thresholds= argument: the run takes them from the mlda section
-    configured = run_simulation(
-        cfg(defense="mlda", mlda={"rc_th": 45.0, "se_th_s": 0.05, "re_th": 3.0})
-    )
-    explicit = run_simulation(cfg(defense="mlda"), thresholds=TH)
-    assert configured.thresholds == explicit.thresholds == TH
-    assert configured.detection_rows and configured.detection_rows == explicit.detection_rows
-    assert configured.blocked == explicit.blocked
-    assert configured.legit == explicit.legit and configured.attack == explicit.attack
-
-
 def test_interval_records_cover_all_stations():
     c = cfg(duration_s=10.0, warmup_s=2.0)
     result = run_simulation(c)
@@ -164,7 +151,7 @@ def test_result_window_and_rates():
 
 
 def test_per_class_conservation_balances():
-    run = SimulationRun(cfg(defense="mlda"), thresholds=TH)
+    run = SimulationRun(cfg(defense="mlda", mlda=TH))
     result = run.execute()
     for node, fs in result.flows.items():
         held_pkts = sum(
@@ -186,7 +173,7 @@ def test_every_event_callback_is_defined_in_roqsim(monkeypatch):
     monkeypatch.setattr(Simulator, "schedule", spy)
     for defense in ("mlda", "shrew"):
         run_simulation(cfg(duration_s=12.0, warmup_s=2.0, defense=defense,
-                           shrew={"window_bins": 128}), thresholds=TH)
+                           shrew={"window_bins": 128}, mlda=TH))
     # every event kind of the simulator, the exchange responses included
     assert {kind for kind, _ in seen} == {
         "difs_end", "attempt", "nav_reset_check", "nav_expire", "frame_end",
