@@ -24,6 +24,11 @@ MAX_RATE_PPS = 1_000_000
 # the clock's step; a shorter interval or bin would round to zero microseconds
 MIN_STEP_S = 1e-6
 
+# every run gives every flow a list of window_bins arrival counts up front,
+# whatever the defense: 2**16 bins (55 minutes at 50 ms bins) is 512 KiB per
+# flow, while an unbounded window could ask for gigabytes before the first event
+MAX_WINDOW_BINS = 1 << 16
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -146,6 +151,9 @@ class RunConfig:
         n = self.shrew.window_bins
         if n < 2 or n & (n - 1):
             raise ConfigError("shrew.window_bins must be a power of two")
+        if n > MAX_WINDOW_BINS:
+            raise ConfigError("shrew.window_bins must be at most %d, got %d"
+                              % (MAX_WINDOW_BINS, n))
         nyq = 1.0 / (2.0 * self.shrew.bin_s)
         if not (0 < self.shrew.cutoff_hz <= nyq):
             raise ConfigError("shrew.cutoff_hz must be in (0, %g]" % nyq)

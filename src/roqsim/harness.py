@@ -59,13 +59,18 @@ def thresholds_from_samples(mlda, rc_samples, se_samples_s, re_samples):
 def calibrate_thresholds(config):
     """The config's mlda section with thresholds from attack-free counter means.
 
-    Refuses configs with an active attack: thresholds learned under attack
-    would bake the anomaly into the baseline.  A config whose first
-    monitoring interval after warm-up ends past duration_s is a ConfigError,
+    A config with an active attack is a ConfigError: thresholds learned under
+    attack would bake the anomaly into the baseline.  So is a config whose
+    first monitoring interval after warm-up ends past duration_s.  Both are
     raised before the calibration run.
     """
     if config.attack_enabled():
-        raise ValueError("calibration requires an attack-free config")
+        attack = config.attack
+        raise ConfigError(
+            "attack.count %d, attack.period_s %g and attack.burst_s %g make an active"
+            " attack; calibration needs an attack-free config, so set one of them to 0"
+            % (attack.count, attack.period_s, attack.burst_s)
+        )
     cfg = attack_free(config)
     # the intervals sampled are those that start at or after warm-up;
     # interval i covers ((i - 1) * interval, i * interval]

@@ -10,6 +10,7 @@ event pattern of a run untouched; only the MLDA defense acts on the interval
 counters.
 """
 
+import gc
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -288,4 +289,15 @@ class SimulationRun:
 
 
 def run_simulation(config, trace=None):
-    return SimulationRun(config, trace=trace).execute()
+    """Run one simulation and free it before returning its result.
+
+    A run's objects hold each other in reference cycles (stations and the
+    medium, station hooks and their TCP sources, heap entries and the bound
+    methods they call), which reference counting cannot free.  Python's full
+    collection comes round only after many more allocations, so a process
+    running one simulation after another would keep several finished runs;
+    collecting here frees each one before the caller builds the next.
+    """
+    result = SimulationRun(config, trace=trace).execute()
+    gc.collect()
+    return result

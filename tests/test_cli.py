@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -157,6 +158,9 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
                      "shrew.ratio_threshold", id="ratio-threshold-negative"),
         pytest.param('{"duration_s": 2, "warmup_s": 1, "shrew": {"ratio_threshold": 1}}',
                      "shrew.ratio_threshold", id="ratio-threshold-one"),
+        # every run allocates the spectral window of every flow, whatever the defense
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "shrew": {"window_bins": 1073741824}}',
+                     "shrew.window_bins must be at most 65536", id="window-bins-huge"),
     ],
 )
 def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):
@@ -286,8 +290,36 @@ def test_keyboard_interrupt_still_propagates(config_path, monkeypatch):
 
 def test_calibrate_refuses_attacked_config(config_path, capsys):
     # thresholds learned under attack would bake the anomaly into the baseline
-    assert main(["calibrate", "--config", config_path]) == 2
-    assert "run failed" in capsys.readouterr().err
+    assert main(["calibrate", "--config", config_path]) == 1
+    assert capsys.readouterr().err.startswith("config error: attack.")
+
+
+@pytest.mark.parametrize(
+    "args, defense, builds",
+    [
+        # the calibration run, then one point per defense
+        pytest.param(["sweep", "attackers", "--out", "results.csv"], "none", 3, id="sweep"),
+        # the calibration run, then the run itself, which cli keeps to the end
+        pytest.param(["run"], "mlda", 2, id="run-mlda-calibrated"),
+    ],
+)
+def test_each_simulation_is_freed_before_the_next_is_built(tmp_path, monkeypatch, args,
+                                                           defense, builds):
+    runs = []  # a weak reference to every run built so far
+    alive_at_build = []
+    init = SimulationRun.__init__
+
+    def tracked_init(run, *a, **kw):
+        alive_at_build.append(sum(ref() is not None for ref in runs))
+        runs.append(weakref.ref(run))
+        init(run, *a, **kw)
+
+    monkeypatch.setattr(SimulationRun, "__init__", tracked_init)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(SMALL, defense=defense)))
+    assert main(args + ["--config", str(path)]) == 0
+    assert alive_at_build == [0] * builds
 
 
 def _declared_scripts():

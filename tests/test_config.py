@@ -8,6 +8,7 @@ import pytest
 from roqsim.config import (
     DEFENSE_MLDA,
     DEFENSE_NONE,
+    MAX_WINDOW_BINS,
     ConfigError,
     RunConfig,
     config_from_dict,
@@ -57,6 +58,7 @@ def test_attack_enabled_logic():
         {"mlda": {"interval_s": 0}},
         {"mlda": {"escalation": "sometimes"}},
         {"shrew": {"window_bins": 1000}},
+        {"shrew": {"window_bins": 2 * MAX_WINDOW_BINS}},
         {"shrew": {"bin_s": 0.0}},
         {"shrew": {"cutoff_hz": 11.0}},  # above Nyquist for 50 ms bins
         {"phy": {"cw_min": 64, "cw_max": 31}},
@@ -65,6 +67,11 @@ def test_attack_enabled_logic():
 def test_invalid_configs_rejected(overrides):
     with pytest.raises(ConfigError):
         config_from_dict(overrides)
+
+
+def test_window_bins_cap_is_allowed():
+    cfg = config_from_dict({"shrew": {"window_bins": MAX_WINDOW_BINS}})
+    assert cfg.shrew.window_bins == MAX_WINDOW_BINS
 
 
 def test_unknown_keys_rejected():

@@ -51,8 +51,9 @@ def test_attack_free_strips_attack_and_defense():
     assert cfg.defense == "mlda"  # original untouched
 
 
-def test_calibration_refuses_active_attack():
-    with pytest.raises(ValueError):
+def test_calibration_refuses_active_attack(monkeypatch):
+    monkeypatch.setattr(harness, "run_simulation", None)  # refused before any run
+    with pytest.raises(ConfigError, match="^attack.count 2, attack.period_s 1.2 and"):
         calibrate_thresholds(RunConfig())  # default config has a live attack
 
 
