@@ -24,6 +24,10 @@ MAX_RATE_PPS = 1_000_000
 # the clock's step; a shorter interval or bin would round to zero microseconds
 MIN_STEP_S = 1e-6
 
+# one cell: an access point associates at most 2007 stations (802.11
+# association IDs 1-2007), and every station gets its own state and ledger
+MAX_STATIONS = 2007
+
 # every run gives every flow a list of window_bins arrival counts up front,
 # whatever the defense: 2**16 bins (55 minutes at 50 ms bins) is 512 KiB per
 # flow, while an unbounded window could ask for gigabytes before the first event
@@ -117,6 +121,10 @@ class RunConfig:
             value = _field(self, name)
             if value is not None and value < low:
                 raise ConfigError("%s must be >= %g, got %r" % (name, low, value))
+        stations = self.legit.count + self.attack.count
+        if stations > MAX_STATIONS:
+            raise ConfigError("legit.count + attack.count must be at most %d (802.11 "
+                              "association IDs), got %d" % (MAX_STATIONS, stations))
         for name in ("legit.app_rate_pps", "attack.rate_pps"):
             if _field(self, name) > MAX_RATE_PPS:
                 raise ConfigError("%s must be at most %d (one packet per microsecond)"
@@ -165,7 +173,13 @@ class RunConfig:
         return self
 
     def attack_enabled(self):
-        return self.attack.count > 0 and self.attack.period_s > 0 and self.attack.burst_s > 0
+        """Whether attackers offer any traffic: the one test of an active attack.
+
+        Period and burst count in whole microseconds, as the sources use them.
+        """
+        attack = self.attack
+        return (attack.count > 0 and attack.rate_pps > 0
+                and to_us(attack.period_s) > 0 and to_us(attack.burst_s) > 0)
 
     # node layout: access point is node 0, legit stations follow, then attackers
     @property

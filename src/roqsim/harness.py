@@ -40,7 +40,7 @@ def attack_free(config):
 
     A config that already is attack-free comes back as it is, not copied.
     """
-    if config.defense == DEFENSE_NONE and config.attack.period_s == 0.0:
+    if config.defense == DEFENSE_NONE and not config.attack_enabled():
         return config
     return replace(config, defense=DEFENSE_NONE, attack=replace(config.attack, period_s=0.0))
 
@@ -67,9 +67,9 @@ def calibrate_thresholds(config):
     if config.attack_enabled():
         attack = config.attack
         raise ConfigError(
-            "attack.count %d, attack.period_s %g and attack.burst_s %g make an active"
-            " attack; calibration needs an attack-free config, so set one of them to 0"
-            % (attack.count, attack.period_s, attack.burst_s)
+            "attack.count %d, attack.period_s %g and attack.burst_s %g at attack.rate_pps %d"
+            " make an active attack; calibration needs an attack-free config, so set one of"
+            " the four to 0" % (attack.count, attack.period_s, attack.burst_s, attack.rate_pps)
         )
     cfg = attack_free(config)
     # the intervals sampled are those that start at or after warm-up;

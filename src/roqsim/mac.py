@@ -241,26 +241,26 @@ class Medium:
 class Station:
     """One DCF station: FIFO frame queue, backoff state, exchange sequencing.
 
-    aggressive=True keeps the contention window pinned at its base on failures
-    (greedy senders that never yield); cw_base overrides that base so a greedy
-    sender can contend with shorter backoffs than compliant stations.  A
-    station with a non-empty blocklist acts as the access point: it refuses
-    CTS to blocked sources and discards their DATA.  disable() models
+    An attack section makes the station a greedy attacker (aggressive): its
+    contention window stays pinned at attack.cw on failures, its queue holds
+    at most attack.queue_cap frames, and it keeps stale frames.  Compliant
+    stations start from phy.cw_min with an unbounded queue.  A station with
+    a non-empty blocklist acts as the access point: it refuses CTS to
+    blocked sources and discards their DATA.  disable() models
     deassociation: the station stops transmitting entirely.
     """
 
-    def __init__(self, sim, medium, phy, node_id, rng, aggressive=False, queue_cap=None,
-                 cw_base=None):
+    def __init__(self, sim, medium, phy, node_id, rng, attack=None):
         self.sim = sim
         self.medium = medium
         self.phy = phy
         self.node_id = node_id
         self.rng = rng
-        self.aggressive = aggressive
-        self.queue_cap = queue_cap
+        self.aggressive = attack is not None
+        self.queue_cap = attack.queue_cap if self.aggressive else None
         self.queue = deque()
         self.state = IDLE
-        self.cw_base = cw_base if cw_base is not None else phy.cw_min
+        self.cw_base = attack.cw if self.aggressive else phy.cw_min
         self.cw = self.cw_base
         self.disabled = False
         self.retry = 0

@@ -108,45 +108,25 @@ class SimulationRun:
         for node in self.legit_nodes:
             st = Station(sim, self.medium, self.phy, node, sim.rng.fork(node))
             fs = self.stats[node] = FlowStats(False, self.warmup_us)
-            src = self.tcp_sources[node] = TcpSource(
-                sim, st, cfg.ap_node, cfg.legit.packet_bits, cfg.legit.rwnd,
-                app_rate_pps=cfg.legit.app_rate_pps,
-            )
+            src = self.tcp_sources[node] = TcpSource(sim, st, cfg.ap_node, cfg.legit)
             st.on_enqueue = fs.on_sent
             st.on_copy_done = fs.on_copy_done
             st.on_data_rx = src.on_transport_ack  # only the AP sends it DATA
             self.stations[node] = st
             self.sinks[node] = TcpSink(sim, ap, node)
 
+        attack = cfg.attack
+        active = cfg.attack_enabled()
         n_attack = len(self.attacker_nodes)
         for i, node in enumerate(self.attacker_nodes):
-            st = Station(
-                sim,
-                self.medium,
-                self.phy,
-                node,
-                sim.rng.fork(node),
-                aggressive=True,
-                queue_cap=cfg.attack.queue_cap,
-                cw_base=cfg.attack.cw,
-            )
+            st = Station(sim, self.medium, self.phy, node, sim.rng.fork(node), attack=attack)
             fs = self.stats[node] = FlowStats(True, self.warmup_us)
             st.on_enqueue = fs.on_sent
             st.on_copy_done = fs.on_copy_done
             self.stations[node] = st
-            phase = (i * cfg.attack.period_s / n_attack) if cfg.attack.stagger else 0.0
-            self.pulsed_sources[node] = PulsedSource(
-                sim,
-                st,
-                cfg.ap_node,
-                cfg.attack.period_s,
-                cfg.attack.burst_s,
-                cfg.attack.rate_pps,
-                cfg.attack.packet_bits,
-                jitter_s=cfg.attack.jitter_s,
-                phase_s=phase,
-                rng=st.rng,
-            )
+            if active:
+                phase_us = to_us(i * attack.period_s / n_attack) if attack.stagger else 0
+                self.pulsed_sources[node] = PulsedSource(sim, st, cfg.ap_node, attack, phase_us)
 
         # arrival spectra are recorded for every flow regardless of defense
         bin_us = to_us(cfg.shrew.bin_s)
@@ -167,8 +147,8 @@ class SimulationRun:
     def start(self):
         for node in self.legit_nodes:
             self.tcp_sources[node].start()
-        for node in self.attacker_nodes:
-            self.pulsed_sources[node].start()
+        for source in self.pulsed_sources.values():  # in attacker order
+            source.start()
 
     # -- callbacks ----------------------------------------------------------
 

@@ -65,18 +65,19 @@ def apply_timeout(flow):
 class TcpSource:
     """Window-limited sender feeding one station's MAC queue.
 
-    app_rate_pps > 0 paces the application: packets become available at that
-    rate and wait (unsent) until the window opens.  0 means a greedy bulk
-    transfer with unlimited data ready.
+    legit is the config's legit section.  legit.app_rate_pps > 0 paces the
+    application: packets become available at that rate and wait (unsent)
+    until the window opens.  0 means a greedy bulk transfer with unlimited
+    data ready.
     """
 
-    def __init__(self, sim, station, dst, packet_bits, rwnd, app_rate_pps=0):
+    def __init__(self, sim, station, dst, legit):
         self.sim = sim
         self.station = station
         self.dst = dst
-        self.packet_bits = packet_bits
-        self.rwnd = rwnd
-        self.app_rate_pps = app_rate_pps
+        self.packet_bits = legit.packet_bits
+        self.rwnd = legit.rwnd
+        self.app_rate_pps = legit.app_rate_pps
         self.app_available = 0  # produced by the application, not yet sent
         self.flow = TcpFlowState()
         self.next_seq = 1
@@ -85,7 +86,7 @@ class TcpSource:
         self.send_times = {}  # seq -> (sent_us, retransmitted)
         self.timeouts = 0
         self._rto_h = None
-        self._app_spacing_us = 1_000_000 // app_rate_pps if app_rate_pps > 0 else 0
+        self._app_spacing_us = 1_000_000 // self.app_rate_pps if self.app_rate_pps > 0 else 0
         self._next_app_us = 0
 
     def start(self):
@@ -176,11 +177,10 @@ class TcpSink:
     its cumulative ack number is bumped in place instead of enqueuing more.
     """
 
-    def __init__(self, sim, ap_station, src_node, ack_bits=TCP_ACK_BITS):
+    def __init__(self, sim, ap_station, src_node):
         self.sim = sim
         self.ap = ap_station
         self.src_node = src_node
-        self.ack_bits = ack_bits
         self.rcv_hi = 0
         self.above = set()
         self._pending_ack = None
@@ -202,75 +202,59 @@ class TcpSink:
         if ack is not None and ack in self.ap.queue:
             ack.seq_no = self.rcv_hi  # cumulative: bumping in place is safe
         else:
-            ack = Frame(DATA, self.ap.node_id, self.src_node, self.ack_bits, seq_no=self.rcv_hi)
+            ack = Frame(DATA, self.ap.node_id, self.src_node, TCP_ACK_BITS, seq_no=self.rcv_hi)
             self._pending_ack = ack
             self.ap.enqueue(ack)
         return first
 
 
 class PulsedSource:
-    """On-off sender: rate_pps packet arrivals during each burst window.
+    """On-off sender: attack.rate_pps packet arrivals during each burst.
 
-    Arrivals are evenly spaced inside the burst.  Optional jitter shifts each
-    burst start by a per-period uniform draw from the node's own stream.
+    Period k starts at phase_us + k * period; with attack.jitter_s set, that
+    start moves by a uniform draw from the station's own stream, taken when
+    the period's first arrival is computed.  Arrivals are evenly spaced
+    inside the burst, and any that would fall before now are skipped.  The
+    attack section must describe an active attack (RunConfig.attack_enabled).
     Once the station is disabled (blocked) the source offers nothing more.
     """
 
-    def __init__(self, sim, station, dst, period_s, burst_s, rate_pps, packet_bits,
-                 jitter_s=0.0, phase_s=0.0, rng=None):
+    def __init__(self, sim, station, dst, attack, phase_us):
         self.sim = sim
         self.station = station
         self.dst = dst
-        self.period_us = to_us(period_s)
-        self.burst_us = to_us(burst_s)
-        self.jitter_us = to_us(jitter_s)
-        self.phase_us = to_us(phase_s)
-        self.packet_bits = packet_bits
-        self.rate_pps = rate_pps
-        self.spacing_us = 1_000_000 // rate_pps if rate_pps > 0 else 0
-        self.rng = rng
-        self.next_seq = 1
-        self.arrivals = 0
-        self._k = 0  # period index
-        self._i = 0  # arrival index within the burst
-        self._offset = 0
+        self.packet_bits = attack.packet_bits
+        self.arrivals = 0  # also the sequence number of the last arrival
+        self._times = self._arrival_times(attack, phase_us)
 
-    def enabled(self):
-        return self.period_us > 0 and self.burst_us > 0 and self.rate_pps > 0
+    def _arrival_times(self, attack, phase_us):
+        period_us = to_us(attack.period_s)
+        burst_us = to_us(attack.burst_s)
+        jitter_us = to_us(attack.jitter_s)
+        spacing_us = 1_000_000 // attack.rate_pps
+        rng = self.station.rng
+        start = phase_us
+        while True:
+            first = start + rng.uniform_int(-jitter_us, jitter_us) if jitter_us else start
+            for offset in range(0, burst_us, spacing_us):
+                yield first + offset
+            start += period_us
 
     def start(self):
-        if not self.enabled():
-            return
-        self._begin_period(0)
         self._schedule_next()
 
-    def _begin_period(self, k):
-        self._k = k
-        self._i = 0
-        self._offset = 0
-        if self.jitter_us > 0 and self.rng is not None:
-            self._offset = self.rng.uniform_int(-self.jitter_us, self.jitter_us)
-
-    def _next_time_us(self):
-        while True:
-            t = self.phase_us + self._k * self.period_us + self._offset + self._i * self.spacing_us
-            if self._i * self.spacing_us < self.burst_us:
-                return t
-            self._begin_period(self._k + 1)
-
     def _schedule_next(self):
-        t = self._next_time_us()
-        while t < self.sim.now_us:  # jitter pushed it into the past: skip
-            self._i += 1
-            t = self._next_time_us()
+        now = self.sim.now_us
+        t = next(self._times)
+        while t < now:  # jitter pushed it into the past: skip
+            t = next(self._times)
         self.sim.schedule(t, "pulse_arrival", self._on_arrival)
 
     def _on_arrival(self):
         if self.station.disabled:  # blocked: the source stops for good
             return
-        frame = Frame(DATA, self.station.node_id, self.dst, self.packet_bits, seq_no=self.next_seq)
-        self.next_seq += 1
         self.arrivals += 1
+        frame = Frame(DATA, self.station.node_id, self.dst, self.packet_bits,
+                      seq_no=self.arrivals)
         self.station.enqueue(frame)
-        self._i += 1
         self._schedule_next()

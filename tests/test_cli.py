@@ -161,6 +161,10 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
         # every run allocates the spectral window of every flow, whatever the defense
         pytest.param('{"duration_s": 2, "warmup_s": 1, "shrew": {"window_bins": 1073741824}}',
                      "shrew.window_bins must be at most 65536", id="window-bins-huge"),
+        # each station is built with its own state, sources and ledger
+        pytest.param('{"duration_s": 2, "warmup_s": 1, "legit": {"count": 100000000},'
+                     ' "attack": {"count": 100000000}}',
+                     "legit.count + attack.count must be at most 2007", id="stations-huge"),
     ],
 )
 def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):
@@ -178,6 +182,9 @@ def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):
     [
         pytest.param("attackers", {"attacker_counts": [2, -1]},
                      "sweep.attacker_counts[1]: attack.count must be >= 0", id="attackers"),
+        pytest.param("attackers", {"attacker_counts": [2, 2006]},
+                     "sweep.attacker_counts[1]: legit.count + attack.count must be at most"
+                     " 2007", id="attackers-over-station-cap"),
         pytest.param("period", {"periods_s": [0.0, 0.3]},
                      "sweep.periods_s[1]: attack.burst_s must be shorter", id="period"),
         # an empty list would calibrate, then write a header-only CSV and exit 0
@@ -292,6 +299,18 @@ def test_calibrate_refuses_attacked_config(config_path, capsys):
     # thresholds learned under attack would bake the anomaly into the baseline
     assert main(["calibrate", "--config", config_path]) == 1
     assert capsys.readouterr().err.startswith("config error: attack.")
+
+
+def test_calibrate_takes_any_switched_off_attack(tmp_path, capsys):
+    # each of these turns the attack off, as rate_pps 0 does
+    printed = []
+    for attack in ({"rate_pps": 0}, {"count": 0}, {"burst_s": 0.0}):
+        path = tmp_path / "quiet.json"
+        path.write_text(json.dumps({"duration_s": 5.0, "warmup_s": 1.0, "attack": attack}))
+        assert main(["calibrate", "--config", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    thresholds = '{"interval_s": 1.0, "rc_th": 45.0, "re_th": 3.0, "se_th_s": 0.05061}\n'
+    assert printed == [thresholds] * 3
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from roqsim.config import (
     DEFENSE_MLDA,
     DEFENSE_NONE,
+    MAX_STATIONS,
     MAX_WINDOW_BINS,
     ConfigError,
     RunConfig,
@@ -40,6 +41,9 @@ def test_attack_enabled_logic():
     assert not config_from_dict({"attack": {"count": 0}}).attack_enabled()
     assert not config_from_dict({"attack": {"period_s": 0.0}}).attack_enabled()
     assert not config_from_dict({"attack": {"burst_s": 0.0}}).attack_enabled()
+    assert not config_from_dict({"attack": {"rate_pps": 0}}).attack_enabled()
+    # the sources count in whole microseconds: this burst rounds to none
+    assert not config_from_dict({"attack": {"burst_s": 4e-7}}).attack_enabled()
 
 
 @pytest.mark.parametrize(
@@ -62,6 +66,7 @@ def test_attack_enabled_logic():
         {"shrew": {"bin_s": 0.0}},
         {"shrew": {"cutoff_hz": 11.0}},  # above Nyquist for 50 ms bins
         {"phy": {"cw_min": 64, "cw_max": 31}},
+        {"legit": {"count": MAX_STATIONS - 6}, "attack": {"count": 7}},
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -72,6 +77,11 @@ def test_invalid_configs_rejected(overrides):
 def test_window_bins_cap_is_allowed():
     cfg = config_from_dict({"shrew": {"window_bins": MAX_WINDOW_BINS}})
     assert cfg.shrew.window_bins == MAX_WINDOW_BINS
+
+
+def test_station_cap_is_allowed():
+    cfg = config_from_dict({"legit": {"count": MAX_STATIONS - 7}, "attack": {"count": 7}})
+    assert len(cfg.legit_nodes() + cfg.attacker_nodes()) == MAX_STATIONS == 2007
 
 
 def test_unknown_keys_rejected():

@@ -31,6 +31,12 @@ LYING_RUN = {
 }
 LYING_DETECTIONS_SHA256 = "84560147c2decba4a687e99a366a914dce41cc9d49b2a95abace743dd34c1733"
 
+# the only pinned run whose attackers draw jitter from the stream their backoff uses
+JITTER_RUN = {"duration_s": 20.0, "seed": 6,
+              "attack": {"count": 3, "jitter_s": 0.2, "stagger": True}}
+JITTER_STDOUT_SHA256 = "5a633c9116efc6becd7b35de92f047b1e2c6bbf28fc641fd37fbea51a6725b78"
+JITTER_TRACE_SHA256 = "6bf0a521eec60dc29615226c4f3eb92f487d288b88b8566dc89fff75df341e43"
+
 SWEEP = {"duration_s": 20.0, "seed": 2, "sweep": {"attacker_counts": [2, 4], "seeds": [2]}}
 SWEEP_CSV_SHA256 = "2dc0722242621b7f9fd74105fd1b94e1fa6301955a028ff4bf8e54bdef6d44d0"
 
@@ -85,6 +91,14 @@ def test_lying_attacker_detections_are_pinned(tmp_path):
                "--detections", str(detections)])
     assert rc == 0
     assert _sha256(detections.read_bytes()) == LYING_DETECTIONS_SHA256
+
+
+def test_jittered_staggered_run_is_pinned(tmp_path, capsys):
+    trace = tmp_path / "trace.tsv"
+    rc = main(["run", "--config", _write_config(tmp_path, JITTER_RUN), "--trace", str(trace)])
+    assert rc == 0
+    assert _sha256(capsys.readouterr().out.encode()) == JITTER_STDOUT_SHA256
+    assert _sha256(trace.read_bytes()) == JITTER_TRACE_SHA256
 
 
 def test_sweep_results_csv_is_pinned(tmp_path):

@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from roqsim.config import config_from_dict
+from roqsim.config import AttackSection, config_from_dict
 from roqsim.kernel import Simulator
 from roqsim.mac import (
     DATA,
@@ -136,7 +136,8 @@ def test_cw_doubles_then_retry_drop():
 
 def test_aggressive_station_never_widens_window():
     sim, phy, medium, ap = make_cell()
-    st = Station(sim, medium, phy, 1, ScriptedRng(), aggressive=True, cw_base=7)
+    st = Station(sim, medium, phy, 1, ScriptedRng(), attack=AttackSection(cw=7))
+    assert st.aggressive and st.cw_base == 7
     st.enqueue(Frame(DATA, 1, 99, 8000))
     sim.run_until(236 * 3)
     assert st.counters.retrans == 3
@@ -199,7 +200,7 @@ def test_stale_head_dropped_after_lifetime():
 def test_aggressive_station_keeps_stale_frames():
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng(), aggressive=True, cw_base=7)
+    st = Station(sim, medium, phy, 1, ScriptedRng(), attack=AttackSection(cw=7))
     st.on_copy_done = collector(done)
     st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=9))
     noise = Frame(DATA, 8, 77, 0)
@@ -291,7 +292,7 @@ def test_disable_cancels_every_pending_step_of_the_station(block_us):
 def test_queue_cap_overflow():
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng([50]), queue_cap=2)
+    st = Station(sim, medium, phy, 1, ScriptedRng([7]), attack=AttackSection(queue_cap=2))
     st.on_copy_done = collector(done)
     assert st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=1)) is True
     assert st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=2)) is True

@@ -2,8 +2,10 @@
 
 import pytest
 
+from roqsim.config import AttackSection, LegitSection, config_from_dict
 from roqsim.kernel import RandomSource, Simulator
 from roqsim.mac import DATA, Frame
+from roqsim.runner import SimulationRun
 from roqsim.traffic import (
     MAX_RTO_S,
     MIN_RTO_S,
@@ -19,9 +21,10 @@ from roqsim.traffic import (
 class FakeStation:
     """Queue-only stand-in for a MAC station."""
 
-    def __init__(self, node_id=1, sim=None):
+    def __init__(self, node_id=1, sim=None, rng=None):
         self.node_id = node_id
         self.sim = sim
+        self.rng = rng
         self.queue = []
         self.sent = []
         self.disabled = False
@@ -32,6 +35,9 @@ class FakeStation:
         self.queue.append(frame)
         self.sent.append(frame)
         return True
+
+
+GREEDY = LegitSection(app_rate_pps=0)  # bulk transfer: the window alone paces it
 
 
 def ack(seq_no):
@@ -111,7 +117,7 @@ def test_timeout_collapses_window_and_doubles_rto():
 def test_source_fills_window_and_arms_timer():
     sim = Simulator(seed=0)
     st = FakeStation()
-    src = TcpSource(sim, st, 0, 8000, rwnd=32)
+    src = TcpSource(sim, st, 0, GREEDY)
     src.flow.cwnd = 4
     src.start()
     assert [f.seq_no for f in st.sent] == [1, 2, 3, 4]
@@ -122,7 +128,7 @@ def test_source_fills_window_and_arms_timer():
 def test_ack_advances_window_and_samples_rtt():
     sim = Simulator(seed=0)
     st = FakeStation()
-    src = TcpSource(sim, st, 0, 8000, rwnd=32)
+    src = TcpSource(sim, st, 0, GREEDY)
     src.start()  # cwnd=1: seq 1 in flight
     sim.run_until(200_000)
     src.on_transport_ack(ack(1), sim.now_us)
@@ -138,7 +144,7 @@ def test_ack_advances_window_and_samples_rtt():
 def test_karns_rule_skips_retransmitted_sample():
     sim = Simulator(seed=0)
     st = FakeStation()
-    src = TcpSource(sim, st, 0, 8000, rwnd=32)
+    src = TcpSource(sim, st, 0, GREEDY)
     src.start()
     sim.run_until(1_000_000)  # RTO fires: seq 1 goes out again
     assert src.timeouts == 1
@@ -151,7 +157,7 @@ def test_karns_rule_skips_retransmitted_sample():
 def test_timeout_then_go_back_n_repair():
     sim = Simulator(seed=0)
     st = FakeStation()
-    src = TcpSource(sim, st, 0, 8000, rwnd=32)
+    src = TcpSource(sim, st, 0, GREEDY)
     src.flow.cwnd = 4
     src.start()  # 1..4 in flight
     sim.run_until(1_000_000)  # timeout: cwnd back to 1, seq 1 resent
@@ -170,7 +176,7 @@ def test_timeout_then_go_back_n_repair():
 def test_app_pacing_limits_send_rate():
     sim = Simulator(seed=0)
     st = FakeStation()
-    src = TcpSource(sim, st, 0, 8000, rwnd=32, app_rate_pps=15)
+    src = TcpSource(sim, st, 0, LegitSection(app_rate_pps=15))
     src.flow.cwnd = 32  # window never binds; the application does
     src.flow.rto = 9999.0  # keep the unanswered-ACK timer out of the way
     src.start()
@@ -184,7 +190,7 @@ def test_app_pacing_limits_send_rate():
 def test_greedy_source_window_bound():
     sim = Simulator(seed=0)
     st = FakeStation()
-    src = TcpSource(sim, st, 0, 8000, rwnd=3)
+    src = TcpSource(sim, st, 0, LegitSection(rwnd=3, app_rate_pps=0))
     src.flow.cwnd = 10
     src.start()
     assert len(st.sent) == 3  # min(cwnd, rwnd)
@@ -219,12 +225,14 @@ def test_sink_cumulative_ack_and_coalescing():
 
 # -- pulsed sender -----------------------------------------------------------
 
+# 5 arrivals 20 ms apart at the start of every second
+SHORT_BURSTS = AttackSection(period_s=1.0, burst_s=0.1, rate_pps=50)
+
 
 def test_pulsed_source_arrival_times():
     sim = Simulator(seed=0)
     st = FakeStation(sim=sim)
-    src = PulsedSource(sim, st, 0, period_s=1.0, burst_s=0.1, rate_pps=50,
-                       packet_bits=8000)
+    src = PulsedSource(sim, st, 0, SHORT_BURSTS, 0)
     src.start()
     sim.run_until(2_500_000)
     times = [f.enqueued_us for f in st.sent]
@@ -237,29 +245,25 @@ def test_pulsed_source_arrival_times():
 def test_pulsed_source_phase_shift():
     sim = Simulator(seed=0)
     st = FakeStation(sim=sim)
-    src = PulsedSource(sim, st, 0, period_s=1.0, burst_s=0.1, rate_pps=50,
-                       packet_bits=8000, phase_s=0.4)
+    src = PulsedSource(sim, st, 0, SHORT_BURSTS, 400_000)
     src.start()
     sim.run_until(1_000_000)
     assert st.sent[0].enqueued_us == 400_000
 
 
 def test_pulsed_source_disabled_when_period_zero():
-    sim = Simulator(seed=0)
-    st = FakeStation()
-    src = PulsedSource(sim, st, 0, period_s=0.0, burst_s=0.1, rate_pps=50,
-                       packet_bits=8000)
-    assert not src.enabled()
-    src.start()
-    sim.run_until(5_000_000)
-    assert st.sent == []
+    cfg = config_from_dict({"duration_s": 5.0, "warmup_s": 1.0, "attack": {"period_s": 0.0}})
+    assert not cfg.attack_enabled()
+    run = SimulationRun(cfg)
+    assert run.pulsed_sources == {}  # the attackers' stations exist but offer nothing
+    result = run.execute()
+    assert all(result.flows[node].sent_pkts == 0 for node in cfg.attacker_nodes())
 
 
 def test_pulsed_source_stops_once_station_is_disabled():
     sim = Simulator(seed=0)
     st = FakeStation(sim=sim)
-    src = PulsedSource(sim, st, 0, period_s=1.0, burst_s=0.1, rate_pps=50,
-                       packet_bits=8000)
+    src = PulsedSource(sim, st, 0, SHORT_BURSTS, 0)
     src.start()
     sim.run_until(1_030_000)  # first burst and two arrivals of the second
     st.disabled = True
@@ -273,9 +277,8 @@ def test_pulsed_source_stops_once_station_is_disabled():
 def test_jitter_before_time_zero_skips_only_the_early_arrivals(seed, offset_us, first_burst):
     assert RandomSource(seed).uniform_int(-100_000, 100_000) == offset_us
     sim = Simulator(seed=0)
-    st = FakeStation(sim=sim)
-    src = PulsedSource(sim, st, 0, period_s=1.2, burst_s=0.3, rate_pps=400,
-                       packet_bits=8000, jitter_s=0.1, rng=RandomSource(seed))
+    st = FakeStation(sim=sim, rng=RandomSource(seed))
+    src = PulsedSource(sim, st, 0, AttackSection(jitter_s=0.1), 0)
     src.start()
     sim.run_until(1_099_999)  # the second burst starts at 1.1 s at the earliest
     # 120 arrivals 2500 us apart from the jittered start; those before t = 0 are skipped
@@ -303,9 +306,8 @@ def test_jitter_up_to_the_config_limit_loses_no_arrival(jitter_s, offered):
     # past it a burst shifted early starts before the previous one ended and
     # its first arrivals are skipped
     sim = Simulator(seed=0)
-    st = FakeStation(sim=sim)
-    src = PulsedSource(sim, st, 0, period_s=1.2, burst_s=0.3, rate_pps=400,
-                       packet_bits=8000, jitter_s=jitter_s, rng=ExtremeJitter())
+    st = FakeStation(sim=sim, rng=ExtremeJitter())
+    src = PulsedSource(sim, st, 0, AttackSection(jitter_s=jitter_s), 0)
     src.start()
     sim.run_until(12_000_000)  # periods 0-9; period 10 starts after 12.4 s
     assert src.arrivals == len(st.sent) == offered
