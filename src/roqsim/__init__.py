@@ -4,7 +4,7 @@ monitoring at the access point and spectral analysis of arrival patterns."""
 
 from .config import RunConfig, config_from_dict, load_config
 from .defense import compute_cb, classify_cb, monitor_interval
-from .harness import calibrate_thresholds, sweep_attackers, sweep_period
+from .harness import calibrate_thresholds, sweep
 from .runner import RunResult, SimulationRun, run_simulation
 
 __version__ = "0.1.0"
@@ -17,8 +17,7 @@ __all__ = [
     "classify_cb",
     "monitor_interval",
     "calibrate_thresholds",
-    "sweep_attackers",
-    "sweep_period",
+    "sweep",
     "RunResult",
     "SimulationRun",
     "run_simulation",

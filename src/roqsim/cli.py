@@ -61,10 +61,7 @@ def _cmd_sweep(args):
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1, got %d" % args.workers)
     cfg = load_config(args.config)
-    if args.axis == "attackers":
-        rows = harness.sweep_attackers(cfg, workers=args.workers)
-    else:
-        rows = harness.sweep_period(cfg, workers=args.workers)
+    rows = harness.sweep(cfg, args.axis, workers=args.workers)
     harness.write_results_csv(args.out, rows)
     print("wrote %d rows to %s" % (len(rows), args.out))
     return 0

@@ -129,7 +129,9 @@ class RunConfig:
             if _field(self, name) > MAX_RATE_PPS:
                 raise ConfigError("%s must be at most %d (one packet per microsecond)"
                                   % (name, MAX_RATE_PPS))
-        if self.warmup_s >= self.duration_s:
+        # in whole microseconds, as the run counts them: a window that
+        # rounds to nothing would measure nothing
+        if to_us(self.warmup_s) >= to_us(self.duration_s):
             raise ConfigError("warmup_s must be in [0, duration_s)")
         if self.defense not in DEFENSES:
             raise ConfigError("defense must be one of %s" % (DEFENSES,))
@@ -307,7 +309,9 @@ def load_config(path):
         with open(path) as fp:
             data = json.load(fp)
     except FileNotFoundError:
-        raise ConfigError("config file not found: %s" % path)
-    except json.JSONDecodeError as e:
-        raise ConfigError("config is not valid JSON: %s" % e)
+        raise ConfigError("config file not found: %s" % path) from None
+    except (OSError, ValueError, RecursionError) as e:
+        # a directory or an unreadable file, bytes that are not UTF-8, text
+        # that is not JSON, nesting deeper than the parser allows
+        raise ConfigError("cannot read config file %s as JSON: %s" % (path, e)) from None
     return config_from_dict(data)

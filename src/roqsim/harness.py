@@ -145,12 +145,18 @@ def _run_points(points, workers):
     return [run_point(p) for p in points]
 
 
-def _sweep(config, axis, workers=1):
+def sweep(config, axis, workers=1):
     """Run every (value, defense, seed) point of one sweep axis.
 
-    Every point's config is checked before the calibration run, so an empty
-    sweep list or a bad sweep item fails at once and is named.
+    axis "attackers" varies the number of attackers at a fixed attack
+    period; axis "period" varies the attack period, where 0 means no attack.
+    Every point's config is checked before the calibration run, so an
+    unknown axis, an empty sweep list or a bad sweep item fails at once and
+    is named.
     """
+    if axis not in _AXES:
+        raise ConfigError("sweep axis must be one of %s, got %r"
+                          % (" or ".join(map(repr, _AXES)), axis))
     config.validate()
     key = _AXES[axis][0]
     for name in (key, "seeds"):
@@ -171,16 +177,6 @@ def _sweep(config, axis, workers=1):
                         for _, value, defense, seed in points], workers)
     rows.sort(key=lambda r: (float(r[1]), r[2], r[3]))
     return rows
-
-
-def sweep_attackers(config, workers=1):
-    """Vary the number of attackers at a fixed attack period."""
-    return _sweep(config, "attackers", workers=workers)
-
-
-def sweep_period(config, workers=1):
-    """Vary the attack period; period 0 means no attack."""
-    return _sweep(config, "period", workers=workers)
 
 
 def write_results_csv(path, rows):

@@ -114,9 +114,6 @@ class Simulator:
         heappush(self._heap, h)
         return h
 
-    def schedule_in(self, delay_us, kind, fn, detail=""):
-        return self.schedule(self.now_us + delay_us, kind, fn, detail)
-
     def run_until(self, end_us):
         """Dispatch all events with fire time <= end_us; returns the count."""
         if end_us < self.now_us:

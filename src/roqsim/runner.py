@@ -63,7 +63,6 @@ class SimulationRun:
     def __init__(self, config, trace=None):
         config.validate()
         self.config = config
-        self.trace = trace
         self.sim = Simulator(seed=config.seed, trace=trace)
         self.phy = PhyParams(config.phy)
         self.medium = Medium(self.sim)
@@ -85,7 +84,6 @@ class SimulationRun:
         self._tap_rts_cts = defaultdict(int)
         self._stamp_c2 = set()
         self._stamp_c3 = set()
-        self._interval_idx = 0
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -144,12 +142,6 @@ class SimulationRun:
             if window_us <= self.duration_us:
                 sim.schedule(window_us, "spectral_verdict", self._on_spectral_verdict)
 
-    def start(self):
-        for node in self.legit_nodes:
-            self.tcp_sources[node].start()
-        for source in self.pulsed_sources.values():  # in attacker order
-            source.start()
-
     # -- callbacks ----------------------------------------------------------
 
     def _ap_data_rx(self, frame, now):
@@ -177,8 +169,7 @@ class SimulationRun:
     # -- monitoring interval -------------------------------------------------
 
     def _on_interval(self):
-        self._interval_idx += 1
-        idx = self._interval_idx
+        idx = self.sim.now_us // self._interval_us  # rollover k fires at k * interval
         mlda = self.config.mlda
         mlda_on = self.config.defense == DEFENSE_MLDA
         lying = mlda.lying_attacker
@@ -232,7 +223,10 @@ class SimulationRun:
     # -- execution ----------------------------------------------------------
 
     def execute(self):
-        self.start()
+        for node in self.legit_nodes:
+            self.tcp_sources[node].start()
+        for source in self.pulsed_sources.values():  # in attacker order
+            source.start()
         self.sim.run_until(self.duration_us)
         return self._collect()
 

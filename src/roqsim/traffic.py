@@ -122,12 +122,11 @@ class TcpSource:
         self._ensure_timer()
 
     def _ensure_timer(self):
-        if self.outstanding() > 0:
-            if self._rto_h is None:
-                self._rto_h = self.sim.schedule_in(to_us(self.flow.rto), "tcp_rto", self._on_rto)
-        elif self._rto_h is not None:
-            self._rto_h.cancel()
-            self._rto_h = None
+        # the timer runs exactly while data is outstanding: only an ACK
+        # lowers outstanding(), and on_transport_ack cancels the timer first
+        if self.outstanding() > 0 and self._rto_h is None:
+            self._rto_h = self.sim.schedule(self.sim.now_us + to_us(self.flow.rto), "tcp_rto",
+                                            self._on_rto)
 
     def on_transport_ack(self, frame, now):
         """A cumulative transport ACK from the sink: a DATA frame whose seq_no acks."""
@@ -161,13 +160,11 @@ class TcpSource:
 
     def _on_rto(self):
         self._rto_h = None
-        if self.outstanding() <= 0:
-            return
         apply_timeout(self.flow)
         self.timeouts += 1
         self.recover_hi = self.next_seq - 1
         self._retransmit(self.acked_hi + 1)  # oldest unacked first
-        self._rto_h = self.sim.schedule_in(to_us(self.flow.rto), "tcp_rto", self._on_rto)
+        self._ensure_timer()
 
 
 class TcpSink:

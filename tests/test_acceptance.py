@@ -28,8 +28,7 @@ from roqsim.defense import (
 from roqsim.harness import (
     attack_free,
     calibrate_thresholds,
-    sweep_attackers,
-    sweep_period,
+    sweep,
     write_results_csv,
 )
 from roqsim.mac import IntervalCounters
@@ -140,7 +139,7 @@ def test_criterion_2_escalation_block_timing():
 def test_criterion_3_attacker_sweep_bandwidth_and_loss_ordering():
     t0 = time.monotonic()
     cfg = RunConfig()  # counts {2,4,6,8} x 5 seeds x 100 s
-    rows = sweep_attackers(cfg)
+    rows = sweep(cfg, "attackers")
     agg = mean_by_point(rows)
     problems = []
     for count in cfg.sweep.attacker_counts:
@@ -163,7 +162,7 @@ def test_criterion_4_period_sweep_ordering_and_no_attack_agreement():
     cfg = config_from_dict(
         asdict(RunConfig()) | {"attack": {"burst_s": 1.0, "rate_pps": 600}}
     )
-    rows = sweep_period(cfg)
+    rows = sweep(cfg, "period")
     agg = mean_by_point(rows)
     problems = []
     for period in cfg.sweep.periods_s:
@@ -284,8 +283,8 @@ def test_criterion_9_determinism_and_conservation(tmp_path):
         "sweep": {"attacker_counts": [2], "periods_s": [0.0], "seeds": [1, 2]},
     }
     cfg = config_from_dict(small)
-    rows1 = sweep_attackers(cfg)
-    rows2 = sweep_attackers(cfg)
+    rows1 = sweep(cfg, "attackers")
+    rows2 = sweep(cfg, "attackers")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_results_csv(str(a), rows1)
     write_results_csv(str(b), rows2)

@@ -89,6 +89,27 @@ def test_missing_config_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "make, reason",
+    [
+        pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+        pytest.param(lambda path: path.write_bytes(b"\xff\xfe{}"), "can't decode byte 0xff",
+                     id="not-utf-8"),
+        pytest.param(lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+                     "maximum recursion depth", id="nested-too-deep"),
+        pytest.param(lambda path: path.write_text("{"), "Expecting property name",
+                     id="not-json"),
+    ],
+)
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, make, reason):
+    path = tmp_path / "run.json"
+    make(path)
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file %s as JSON: " % path), err
+    assert reason in err
+
+
+@pytest.mark.parametrize(
     "config_text, field",
     [
         # faster than one packet per microsecond: every arrival at one instant

@@ -67,6 +67,8 @@ def test_attack_enabled_logic():
         {"shrew": {"cutoff_hz": 11.0}},  # above Nyquist for 50 ms bins
         {"phy": {"cw_min": 64, "cw_max": 31}},
         {"legit": {"count": MAX_STATIONS - 6}, "attack": {"count": 7}},
+        # both round to 1,000,000 us: the measured window would be empty
+        {"duration_s": 1.0000002, "warmup_s": 1.0000001},
     ],
 )
 def test_invalid_configs_rejected(overrides):

@@ -14,7 +14,7 @@ from roqsim.harness import (
     calibrate_thresholds,
     resolve_thresholds,
     run_point,
-    sweep_attackers,
+    sweep,
     thresholds_from_samples,
     write_detections_csv,
     write_results_csv,
@@ -125,8 +125,8 @@ def test_run_point_row_is_deterministic():
 
 def test_sweep_rows_and_csv_stability(tmp_path):
     cfg = config_from_dict(SMALL)
-    rows1 = sweep_attackers(cfg)
-    rows2 = sweep_attackers(cfg)
+    rows1 = sweep(cfg, "attackers")
+    rows2 = sweep(cfg, "attackers")
     assert rows1 == rows2
     assert [r[:4] for r in rows1] == [
         ("attackers", 2, "mlda", 1),
@@ -142,9 +142,15 @@ def test_sweep_rows_and_csv_stability(tmp_path):
 
 def test_parallel_sweep_matches_serial():
     cfg = config_from_dict(SMALL)
-    rows_serial = sweep_attackers(cfg, workers=1)
-    rows_parallel = sweep_attackers(cfg, workers=2)
+    rows_serial = sweep(cfg, "attackers", workers=1)
+    rows_parallel = sweep(cfg, "attackers", workers=2)
     assert rows_serial == rows_parallel
+
+
+def test_sweep_refuses_an_unknown_axis():
+    with pytest.raises(ConfigError, match="^sweep axis must be one of 'attackers' or 'period',"
+                                          " got 'seeds'$"):
+        sweep(config_from_dict(SMALL), "seeds")
 
 
 def test_pool_starts_at_most_one_process_per_point(monkeypatch):

@@ -70,7 +70,7 @@ def test_events_scheduled_during_dispatch_run_same_pass():
 
     def outer():
         seen.append("outer")
-        sim.schedule_in(5, "inner", lambda: seen.append("inner"))
+        sim.schedule(sim.now_us + 5, "inner", lambda: seen.append("inner"))
 
     sim.schedule(10, "outer", outer)
     sim.run_until(100)
@@ -146,7 +146,7 @@ def test_cancel_after_dispatch_is_a_no_op():
 def test_handle_reads_back_fire_time_and_cancelled():
     sim = Simulator(seed=0)
     sim.run_until(5)
-    h = sim.schedule_in(70, "x", lambda: None)
+    h = sim.schedule(sim.now_us + 70, "x", lambda: None)
     assert h.fire_us == 75
     assert not h.cancelled
     h.cancel()

@@ -173,6 +173,30 @@ def test_timeout_then_go_back_n_repair():
     assert src.outstanding() == src.next_seq - 5
 
 
+def test_rto_timer_runs_exactly_while_data_is_outstanding(monkeypatch):
+    # the undefended attacked cell of the runner tests: segments are lost,
+    # queues go stale and the flows time out
+    checked = []
+    sources = []
+    schedule = Simulator.schedule
+
+    def checked_schedule(sim, fire_us, kind, fn, detail=""):
+        def fn_then_check():
+            fn()
+            checked.append(kind)
+            for src in sources:
+                assert (src._rto_h is not None) == (src.outstanding() > 0), (kind, sim.now_us)
+
+        return schedule(sim, fire_us, kind, fn_then_check, detail)
+
+    monkeypatch.setattr(Simulator, "schedule", checked_schedule)
+    run = SimulationRun(config_from_dict({"duration_s": 30.0, "warmup_s": 10.0, "seed": 1}))
+    sources.extend(run.tcp_sources.values())
+    result = run.execute()
+    assert result.timeouts > 0
+    assert len(checked) == run.sim.dispatched and "tcp_rto" in checked
+
+
 def test_app_pacing_limits_send_rate():
     sim = Simulator(seed=0)
     st = FakeStation()
