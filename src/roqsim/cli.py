@@ -21,7 +21,7 @@ def _build_parser():
     run.add_argument("--detections", help="write the per-interval detection log CSV")
 
     sw = sub.add_parser("sweep", help="run an experiment sweep")
-    sw.add_argument("axis", choices=("attackers", "period"))
+    sw.add_argument("axis", help="what the sweep varies: %s" % " or ".join(harness._AXES))
     sw.add_argument("--config", required=True)
     sw.add_argument("--out", required=True, help="results CSV path")
     sw.add_argument("--workers", type=int, default=1,

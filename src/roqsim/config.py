@@ -3,6 +3,7 @@
 import json
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin
 
@@ -253,7 +254,7 @@ _KINDS = {
 def _check_value(name, kind, value):
     text, ok = _KINDS[kind]
     if not ok(value):
-        raise ConfigError("%s must be %s, got %r" % (name, text, value))
+        raise ConfigError("%s must be %s, got %s" % (name, text, reprlib.repr(value)))
 
 
 def _check_types(obj, prefix=""):
@@ -267,7 +268,7 @@ def _check_types(obj, prefix=""):
             _check_types(value, name + ".")
         elif get_origin(f.type) is tuple:
             if not isinstance(value, (list, tuple)):
-                raise ConfigError("%s must be a list, got %r" % (name, value))
+                raise ConfigError("%s must be a list, got %s" % (name, reprlib.repr(value)))
             for i, item in enumerate(value):
                 _check_value("%s[%d]" % (name, i), get_args(f.type)[0], item)
         elif get_origin(f.type) is Union:  # Optional[float]: None means unset

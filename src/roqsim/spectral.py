@@ -6,44 +6,69 @@ mean-removed and transformed; the one-sided energy spectrum folds the
 negative frequencies in, so the energies sum to N times the summed squares of
 the (mean-removed) samples.
 
-numpy is imported by the functions that compute a spectrum, not at module
-load: recording arrivals needs none, and a run without the spectral defense
-never analyses a spectrum.
+The transform is an iterative radix-2 FFT over plain lists (Cooley and
+Tukey, 1965), so the package needs nothing beyond the standard library.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
 
 LEGIT = "legit"
 ATTACK = "attack"
 
 
+def _fft(x):
+    """Discrete Fourier transform of a sequence whose length is a power of two.
+
+    Decimation in time: the input is taken in bit-reversed order, then each
+    stage merges pairs of transforms of width `size` into one of width
+    2 * size with the twiddles exp(-2 pi i k / (2 * size)).
+    """
+    n = len(x)
+    order = [0]
+    while len(order) < n:
+        order = [2 * i for i in order] + [2 * i + 1 for i in order]
+    a = [x[i] for i in order]
+    w = [cmath.exp(-2j * math.pi * k / n) for k in range(n // 2)]
+    size = 1
+    while size < n:
+        twiddles = w[::n // (2 * size)]
+        merged = []
+        for start in range(0, n, 2 * size):
+            even = a[start:start + size]
+            odd = [t * v for t, v in zip(twiddles, a[start + size:start + 2 * size])]
+            merged += [e + o for e, o in zip(even, odd)]
+            merged += [e - o for e, o in zip(even, odd)]
+        a = merged
+        size *= 2
+    return a
+
+
 def power_spectrum(counts):
     """One-sided energy spectrum of a mean-removed series.
 
     Requires a power-of-two length (zero-pad shorter series before calling).
-    Returns energies for bins 0..N/2; interior bins carry the folded
+    Returns a list of energies for bins 0..N/2; interior bins carry the folded
     negative-frequency energy so that sum(energy) == N * sum(x_centered**2).
     """
-    import numpy as np
-
-    x = np.asarray(counts, dtype=float)
-    n = x.size
+    x = [float(v) for v in counts]
+    n = len(x)
     if n < 2 or n & (n - 1):
         raise ValueError(
             "series length %d is not a power of two; zero-pad the series first" % n
         )
-    x = x - x.mean()
-    energy = np.abs(np.fft.rfft(x)) ** 2
-    energy[1:-1] *= 2.0
-    return energy
+    mean = math.fsum(x) / n
+    spectrum = _fft([v - mean for v in x])
+    half = n // 2
+    return [abs(c) ** 2 * (2.0 if 0 < k < half else 1.0)
+            for k, c in enumerate(spectrum[:half + 1])]
 
 
 def spectrum_freqs(energy, bin_s):
     """Frequency (Hz) of each one-sided spectrum bin."""
-    import numpy as np
-
-    n = 2 * (energy.size - 1)
-    return np.arange(energy.size) / (n * bin_s)
+    n = 2 * (len(energy) - 1)
+    return [k / (n * bin_s) for k in range(len(energy))]
 
 
 def low_freq_ratio(energy, cutoff_hz, bin_s):
@@ -58,14 +83,11 @@ def low_freq_ratio(energy, cutoff_hz, bin_s):
         raise ValueError(
             "cutoff %g Hz outside (0, %g] for bin width %g s" % (cutoff_hz, nyquist, bin_s)
         )
-    import numpy as np
-
-    energy = np.asarray(energy, dtype=float)
-    total = energy.sum()
+    total = math.fsum(energy)
     if total == 0.0:
         return 0.0
     freqs = spectrum_freqs(energy, bin_s)
-    return float(energy[freqs <= cutoff_hz].sum() / total)
+    return math.fsum(e for e, f in zip(energy, freqs) if f <= cutoff_hz) / total
 
 
 def classify_flow(ratio, threshold):
@@ -78,7 +100,7 @@ class SpectrumVerdict:
     flow: int
     ratio: float
     verdict: str
-    energy: "numpy.ndarray"
+    energy: list
 
 
 class ArrivalRecorder:
@@ -113,5 +135,5 @@ def write_spectra_csv(path, verdicts, bin_s):
         fp.write("flow,bin,freq_hz,energy\n")
         for v in verdicts:
             freqs = spectrum_freqs(v.energy, bin_s)
-            for k in range(v.energy.size):
+            for k in range(len(v.energy)):
                 fp.write("%d,%d,%.6f,%.9g\n" % (v.flow, k, freqs[k], v.energy[k]))

@@ -214,6 +214,9 @@ def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):
                      id="attacker-counts-empty"),
         pytest.param("period", {"periods_s": []}, "sweep.periods_s is empty",
                      id="periods-empty"),
+        # argparse does not list the axes: harness.sweep is the one place that refuses
+        pytest.param("seeds", {}, "sweep axis must be one of 'attackers' or 'period',"
+                     " got 'seeds'", id="axis-unknown"),
     ],
 )
 def test_bad_sweep_item_exits_1_before_any_run(tmp_path, monkeypatch, capsys, axis, sweep,
@@ -258,22 +261,43 @@ sys.modules["concurrent.futures"] = None
 """
 
 
-@pytest.mark.parametrize("defense", ["none", "mlda"])
-def test_run_needs_neither_numpy_nor_a_process_pool(tmp_path, defense):
+# a 256-bin window ends at 12.8 s, so a shrew run reaches its verdict
+SHREW_WINDOW = {"window_bins": 256}
+
+
+@pytest.mark.parametrize(
+    "cfg, command",
+    [
+        pytest.param(dict(SMALL, defense="none"),
+                     ["run", "--trace", "out.tsv", "--detections", "out.csv"], id="none"),
+        pytest.param(dict(SMALL, defense="mlda"),
+                     ["run", "--trace", "out.tsv", "--detections", "out.csv"], id="mlda"),
+        pytest.param(dict(SMALL, defense="shrew", shrew=SHREW_WINDOW),
+                     ["run", "--trace", "out.tsv", "--dump-spectra", "out.csv"], id="shrew"),
+        pytest.param(dict(SMALL, shrew=SHREW_WINDOW),
+                     ["sweep", "attackers", "--workers", "1", "--out", "out.csv"], id="sweep"),
+    ],
+)
+def test_run_needs_neither_numpy_nor_a_process_pool(tmp_path, cfg, command):
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(dict(SMALL, defense=defense)))
+    path.write_text(json.dumps(cfg))
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     outputs = []
     for name, program in (("blocked", _BLOCK_NUMPY_AND_POOL + _RUN), ("plain", _RUN)):
-        trace = tmp_path / (name + ".tsv")
-        detections = tmp_path / (name + ".csv")
+        # each side writes the same relative names in its own directory
+        cwd = tmp_path / name
+        cwd.mkdir()
         proc = subprocess.run(
-            [sys.executable, "-c", program, "run", "--config", str(path),
-             "--trace", str(trace), "--detections", str(detections)],
-            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+            [sys.executable, "-c", program, *command, "--config", str(path)],
+            capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        outputs.append((proc.stdout, trace.read_bytes(), detections.read_bytes()))
+        written = [(arg, (cwd / arg).read_bytes()) for arg in command if arg.startswith("out.")]
+        outputs.append((proc.stdout, written))
     assert outputs[0] == outputs[1]
+
+
+def test_package_has_no_runtime_dependency():
+    assert _project()["dependencies"] == []
 
 
 @pytest.mark.parametrize(
@@ -362,14 +386,14 @@ def test_each_simulation_is_freed_before_the_next_is_built(tmp_path, monkeypatch
     assert alive_at_build == [0] * builds
 
 
-def _declared_scripts():
-    """The `[project.scripts]` table of the project's own pyproject.toml."""
+def _project():
+    """The `[project]` table of the project's own pyproject.toml."""
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10: no tomllib in the stdlib
         tomllib = pytest.importorskip("tomli")
     with open(REPO / "pyproject.toml", "rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"]
+        return tomllib.load(fh)["project"]
 
 
 def _write_launcher(bin_dir, name, ref):
@@ -395,7 +419,7 @@ def test_console_script_installed(tmp_path):
     # declared entry point, and run it the way a user would.
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    _write_launcher(bin_dir, "roqsim", _declared_scripts()["roqsim"])
+    _write_launcher(bin_dir, "roqsim", _project()["scripts"]["roqsim"])
     env = dict(os.environ)
     env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
     env["PYTHONPATH"] = str(REPO / "src")

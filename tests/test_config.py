@@ -76,6 +76,23 @@ def test_invalid_configs_rejected(overrides):
         config_from_dict(overrides)
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        pytest.param({"seed": [0] * 10**6}, "seed must be an integer, got [0, 0, ",
+                     id="seed-long-list"),
+        pytest.param({"sweep": {"seeds": {str(i): i for i in range(10**5)}}},
+                     "sweep.seeds must be a list, got {", id="sweep-seeds-large-dict"),
+    ],
+)
+def test_wrong_typed_value_gives_a_short_message(data, field):
+    # the message shows the start of the value, not all of it
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value).startswith(field)
+    assert len(str(info.value)) < 200
+
+
 def test_window_bins_cap_is_allowed():
     cfg = config_from_dict({"shrew": {"window_bins": MAX_WINDOW_BINS}})
     assert cfg.shrew.window_bins == MAX_WINDOW_BINS

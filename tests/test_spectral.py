@@ -1,4 +1,4 @@
-"""Spectrum math checked against a direct DFT and synthetic traffic shapes."""
+"""Spectrum math checked against a direct DFT, numpy's FFT and synthetic traffic shapes."""
 
 import cmath
 import math
@@ -45,6 +45,39 @@ def test_matches_direct_dft():
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
 
+def numpy_one_sided_energy(x):
+    """The same folded spectrum from numpy's FFT: a reference the package does not use."""
+    x = np.asarray(x, dtype=float)
+    energy = np.abs(np.fft.rfft(x - x.mean())) ** 2
+    energy[1:-1] *= 2.0
+    return energy
+
+
+@pytest.mark.parametrize("n", [2**p for p in range(1, 13)])
+def test_matches_numpy_fft(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        x = [rng.uniform(0, 10) for _ in range(n)]
+        ref = numpy_one_sided_energy(x)
+        energy = power_spectrum(x)
+        assert len(energy) == len(ref) == n // 2 + 1
+        # rounding error scales with the spectrum's largest bin, not with each bin
+        assert np.max(np.abs(np.asarray(energy) - ref)) <= 1e-12 * ref.max()
+
+
+def test_spectra_print_as_numpy_does():
+    # write_spectra_csv prints energies at %.9g; integer arrival counts make the
+    # mean-removed series exact, so even the DC bin agrees to the last digit
+    gen = np.random.default_rng(12)
+    series = [gen.poisson(rate, 1024).astype(float) for rate in (0.2, 0.75, 3.0, 20.0)
+              for _ in range(5)]
+    series += [[30.0 if (i % period) < 5 else 0.0 for i in range(1024)]
+               for period in (8, 20, 24, 32, 64)]
+    for x in series:
+        ours = ["%.9g" % e for e in power_spectrum(x)]
+        assert ours == ["%.9g" % e for e in numpy_one_sided_energy(x)]
+
+
 def test_energy_totals_match_series():
     rng = random.Random(3)
     for _ in range(50):
@@ -52,7 +85,7 @@ def test_energy_totals_match_series():
         x = [rng.uniform(0, 20) for _ in range(n)]
         energy = power_spectrum(x)
         xc = np.asarray(x) - np.mean(x)
-        assert energy.sum() == pytest.approx(n * float(np.sum(xc**2)), rel=1e-9)
+        assert sum(energy) == pytest.approx(n * float(np.sum(xc**2)), rel=1e-9)
 
 
 def test_rejects_non_power_of_two():
@@ -64,7 +97,7 @@ def test_rejects_non_power_of_two():
 def test_mean_removal_kills_dc_bin():
     energy = power_spectrum([5.0] * 64)
     assert energy[0] == 0.0
-    assert energy.sum() == 0.0
+    assert sum(energy) == 0.0
 
 
 def test_pure_tone_lands_in_its_bin():
@@ -72,7 +105,7 @@ def test_pure_tone_lands_in_its_bin():
     for k in (3, 17, 60):
         x = [math.cos(2 * math.pi * k * j / n) for j in range(n)]
         energy = power_spectrum(x)
-        assert energy[k] / energy.sum() > 0.999
+        assert energy[k] / sum(energy) > 0.999
 
 
 def test_spectrum_freqs_span_to_nyquist():
