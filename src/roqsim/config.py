@@ -4,10 +4,11 @@ import json
 import math
 import numbers
 import reprlib
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional, Union, get_args, get_origin
 
-from .kernel import to_us
+from .kernel import US_PER_S, to_us
 
 DEFENSE_NONE = "none"
 DEFENSE_MLDA = "mlda"
@@ -245,23 +246,33 @@ def _field(config, dotted):
 _KINDS = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    float: ("a finite number", lambda v: isinstance(v, numbers.Real)
-            and not isinstance(v, bool) and math.isfinite(v)),
+    # an integer of any size is finite; math.isfinite would convert it to a float
+    float: ("a finite number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (isinstance(v, numbers.Integral) or math.isfinite(v))),
     str: ("a string", lambda v: isinstance(v, str)),
 }
 
 
-def _check_value(name, kind, value):
+def _check_value(name, kind, value, seconds):
     text, ok = _KINDS[kind]
     if not ok(value):
         raise ConfigError("%s must be %s, got %s" % (name, text, reprlib.repr(value)))
+    # a span counts in whole microseconds (kernel.to_us), and a float holds
+    # at most sys.float_info.max of them
+    if seconds and not abs(value) * US_PER_S <= sys.float_info.max:
+        raise ConfigError("%s must be at most %g s in magnitude, got %s"
+                          % (name, sys.float_info.max / US_PER_S, reprlib.repr(value)))
 
 
 def _check_types(obj, prefix=""):
-    """Check every field against its annotated type, sections recursively."""
+    """Check every field against its annotated type, sections recursively.
+
+    A field named *_s is a span in seconds and must also fit in microseconds.
+    """
     for f in fields(obj):
         name = prefix + f.name
         value = getattr(obj, f.name)
+        seconds = f.name.endswith("_s")
         if is_dataclass(f.type):
             if not isinstance(value, f.type):
                 raise ConfigError("section %r must be an object" % name)
@@ -270,12 +281,12 @@ def _check_types(obj, prefix=""):
             if not isinstance(value, (list, tuple)):
                 raise ConfigError("%s must be a list, got %s" % (name, reprlib.repr(value)))
             for i, item in enumerate(value):
-                _check_value("%s[%d]" % (name, i), get_args(f.type)[0], item)
+                _check_value("%s[%d]" % (name, i), get_args(f.type)[0], item, seconds)
         elif get_origin(f.type) is Union:  # Optional[float]: None means unset
             if value is not None:
-                _check_value(name, get_args(f.type)[0], value)
+                _check_value(name, get_args(f.type)[0], value, seconds)
         else:
-            _check_value(name, f.type, value)
+            _check_value(name, f.type, value, seconds)
 
 
 def _build(cls, data, where):

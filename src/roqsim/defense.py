@@ -1,10 +1,10 @@
 """Congestion-bit computation and the passive-server blocking state machine.
 
-Per monitoring interval every station is summarized by three counters
-(RTS/CTS activity, time its backoff sat frozen, retransmissions).  Each
-counter strictly above its threshold sets one congestion bit.  The number of
-set bits grades the finding (normal / suspected / attacker) and repeated bad
-findings escalate to a block.
+Per monitoring interval every station is summarized by three counters (its
+RTS/CTS count: the RTS it sent plus the CTS sent to it; time its backoff sat
+frozen; retransmissions).  Each counter strictly above its threshold sets one
+congestion bit.  The number of set bits grades the finding (normal /
+suspected / attacker) and repeated bad findings escalate to a block.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ SUSPECTED_STREAK_LIMIT = 4
 
 
 class CongestionBits(NamedTuple):
-    """Ordered bit triple: high send rate, frozen backoff, retransmissions."""
+    """Ordered bit triple: the node's RTS/CTS count, frozen backoff, retransmissions."""
 
     c1: bool
     c2: bool

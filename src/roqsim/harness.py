@@ -85,12 +85,12 @@ def calibrate_thresholds(config):
     result = run_simulation(cfg)
     legit = set(cfg.legit_nodes())
     rc, se, re = [], [], []
-    for rec in result.interval_records:
-        if rec.index < first or rec.node not in legit:
+    for index, node, counters in result.interval_records:
+        if index < first or node not in legit:
             continue
-        rc.append(rec.server_rts_cts)
-        se.append(rec.busy_stop_us / 1e6)
-        re.append(rec.retrans)
+        rc.append(counters.rts_cts)
+        se.append(counters.busy_stop_us / 1e6)
+        re.append(counters.retrans)
     return thresholds_from_samples(cfg.mlda, rc, se, re)
 
 

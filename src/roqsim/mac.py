@@ -21,8 +21,10 @@ backoff; an empty queue leads to idle.  Timer invariants:
 - _exchange_h is the station's own next exchange step (CTS or ACK timeout,
   or the DATA due); _resp_h is the CTS or ACK it owes another station.
 
-Per station and per monitoring interval three counters accumulate: clean
-RTS/CTS frames heard, microseconds of frozen backoff, and retransmissions.
+Per station and per monitoring interval three counters accumulate: its
+RTS/CTS count (its own clean RTS plus the clean CTS addressed to it, which is
+what the access point hears of it), microseconds of frozen backoff, and
+retransmissions.
 """
 
 from collections import deque
@@ -71,7 +73,6 @@ class PhyParams:
         "ack_us",
         "cts_timeout_us",
         "ack_timeout_us",
-        "nav_reset_us",
         "_tails",
     )
 
@@ -88,11 +89,11 @@ class PhyParams:
         self.rts_us = self.airtime_us(RTS_BITS)
         self.cts_us = self.airtime_us(CTS_BITS)
         self.ack_us = self.airtime_us(ACK_BITS)
-        # responder answers at SIFS; allow one slot of slack before giving up
+        # responder answers at SIFS; allow one slot of slack before giving up.
+        # A station that overheard an RTS releases its NAV after the same wait
+        # if no CTS followed.
         self.cts_timeout_us = s.sifs_us + self.cts_us + 2 * s.slot_us
         self.ack_timeout_us = s.sifs_us + self.ack_us + 2 * s.slot_us
-        # hearing an RTS reserves the medium; release it if no CTS follows
-        self.nav_reset_us = s.sifs_us + self.cts_us + 2 * s.slot_us
         self._tails = {}  # exchange_tail_us by payload size
 
     def airtime_us(self, bits):
@@ -212,25 +213,28 @@ class Medium:
                     "%s src=%d dst=%d cb=%s seq=%d"
                     % (kind, frame.src, dst, frame.cb, frame.seq_no),
                 )
-            handshake = kind == RTS or kind == CTS
             nav = now + frame.duration_us if frame.duration_us > 0 else 0
-            # Overheard frames only count, extend the NAV and, after an RTS,
-            # arm the NAV release; the addressee handles its frame in receive().
+            # A node's RTS/CTS count is its own RTS plus the CTS sent to it, as
+            # the access point sees them, so a blocked node counts too.
+            # Overheard frames only extend the NAV and, after an RTS, arm the
+            # NAV release; the addressee handles its frame in receive().
             # Stations go in node-id order, so events keep their seq order.
             for st in self._stations:
                 node = st.node_id
                 if node == src_id:
+                    if kind == RTS:
+                        st.counters.rts_cts += 1
                     continue
                 if node == dst:
+                    if kind == CTS:
+                        st.counters.rts_cts += 1
                     st.receive(frame, now)
                 elif not st.disabled:
-                    if handshake:
-                        st.counters.rts_cts += 1
                     if nav:
                         if nav > st.nav_until:
                             st.nav_until = nav
                         if kind == RTS:
-                            sim.schedule(now + st.phy.nav_reset_us, "nav_reset_check",
+                            sim.schedule(now + st.phy.cts_timeout_us, "nav_reset_check",
                                          st._nav_reset_check)
         if not active:
             for st in self._stations:
@@ -443,13 +447,11 @@ class Station:
             now + air + self.phy.ack_timeout_us, "ack_timeout", self._on_exchange_timeout
         )
 
-    def _tx_cts(self):
+    def _tx_resp(self):
         self._resp_h = None
-        self.medium.transmit(self.node_id, self._resp_frame, self.phy.cts_us)
-
-    def _tx_ack(self):
-        self._resp_h = None
-        self.medium.transmit(self.node_id, self._resp_frame, self.phy.ack_us)
+        frame = self._resp_frame
+        air = self.phy.cts_us if frame.kind == CTS else self.phy.ack_us
+        self.medium.transmit(self.node_id, frame, air)
 
     def _on_exchange_timeout(self):
         """Missing CTS or ACK: count a retransmission, back off, retry or drop."""
@@ -470,8 +472,6 @@ class Station:
         if self.disabled:
             return
         kind = frame.kind
-        if kind == RTS or kind == CTS:
-            self.counters.rts_cts += 1
         if kind == RTS:
             if frame.src in self.blocklist or self.nav_until > now or self._resp_h is not None:
                 return
@@ -479,7 +479,7 @@ class Station:
             self._resp_frame = Frame(CTS, self.node_id, frame.src, 0, "000",
                                      max(frame.duration_us - phy.sifs_us - phy.cts_us, 0),
                                      frame.seq_no)
-            self._resp_h = self.sim.schedule(now + phy.sifs_us, "cts_tx", self._tx_cts)
+            self._resp_h = self.sim.schedule(now + phy.sifs_us, "cts_tx", self._tx_resp)
         elif kind == CTS:
             if self.state is WAIT_CTS and frame.src == self.queue[0].dst:
                 self._exchange_h.cancel()
@@ -492,7 +492,7 @@ class Station:
                 return
             if self._resp_h is None:
                 self._resp_frame = Frame(ACK, self.node_id, frame.src, 0, "000", 0, frame.seq_no)
-                self._resp_h = self.sim.schedule(now + self.phy.sifs_us, "ack_tx", self._tx_ack)
+                self._resp_h = self.sim.schedule(now + self.phy.sifs_us, "ack_tx", self._tx_resp)
                 self.on_data_rx(frame, now)
         elif kind == ACK:
             if self.state is WAIT_ACK:
@@ -504,10 +504,10 @@ class Station:
     def _nav_reset_check(self):
         """Release the NAV an overheard RTS set if its handshake died (no CTS).
 
-        Runs nav_reset_us after the RTS ended: no frame may have started since.
+        Runs cts_timeout_us after the RTS ended: no frame may have started since.
         """
         now = self.sim.now_us
-        if self.medium.last_tx_start <= now - self.phy.nav_reset_us and not self.medium._active:
+        if self.medium.last_tx_start <= now - self.phy.cts_timeout_us and not self.medium._active:
             if self.nav_until > now:
                 self.nav_until = now
                 if self.state is CONTEND:

@@ -1,9 +1,12 @@
 """Builds one simulation from a RunConfig, runs it, and collects results.
 
 Node layout: node 0 is the access point, which is also the passive monitor
-(it hears every clean RTS/CTS) and the enforcement point (blocked sources get
-no CTS and their DATA is discarded).  Legit stations run the TCP-like flows
-toward the AP; attacker stations run pulsed senders toward the AP.
+and the enforcement point (blocked sources get no CTS and their DATA is
+discarded).  As monitor it reads each node's RTS/CTS count, the node's own
+RTS plus the CTS sent to it, which it hears itself, and takes the other two
+congestion bits from those the node stamped into its RTS and DATA.  Legit
+stations run the TCP-like flows toward the AP; attacker stations run pulsed
+senders toward the AP.
 
 Monitoring intervals are always scheduled so that an idle defense leaves the
 event pattern of a run untouched; only the MLDA defense acts on the interval
@@ -11,27 +14,15 @@ counters.
 """
 
 import gc
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import defense as dfs
 from . import spectral
 from .config import DEFENSE_MLDA, DEFENSE_SHREW, RunConfig
 from .kernel import Simulator, to_us
-from .mac import CTS, DATA, RTS, Medium, PhyParams, Station
+from .mac import DATA, RTS, Medium, PhyParams, Station
 from .metrics import ClassStats, FlowStats, audit_conservation
 from .traffic import PulsedSource, TcpSink, TcpSource
-
-
-@dataclass
-class IntervalRecord:
-    """One station's view of one monitoring interval (for calibration)."""
-
-    index: int
-    node: int
-    server_rts_cts: int
-    busy_stop_us: int
-    retrans: int
 
 
 @dataclass
@@ -45,6 +36,7 @@ class RunResult:
     false_blocks: int
     detection_rows: list
     verdicts: list
+    # (index, node, IntervalCounters) per monitored node per interval
     interval_records: list = field(default_factory=list)
     timeouts: int = 0
 
@@ -80,8 +72,7 @@ class SimulationRun:
         self.detection_rows = []
         self.interval_records = []
         self.verdicts = []
-        # server-side per-interval observation state
-        self._tap_rts_cts = defaultdict(int)
+        # nodes whose RTS or DATA stamped c2 / c3 this interval
         self._stamp_c2 = set()
         self._stamp_c3 = set()
         self._build()
@@ -155,10 +146,6 @@ class SimulationRun:
 
     def _monitor_tap(self, frame, now):
         kind = frame.kind
-        if kind == RTS:
-            self._tap_rts_cts[frame.src] += 1
-        elif kind == CTS:
-            self._tap_rts_cts[frame.dst] += 1
         if kind == RTS or kind == DATA:
             cb = frame.cb
             if cb[1] == "1":
@@ -173,22 +160,19 @@ class SimulationRun:
         mlda = self.config.mlda
         mlda_on = self.config.defense == DEFENSE_MLDA
         lying = mlda.lying_attacker
-        tap = self._tap_rts_cts
         bits = {}
         for node in self.monitored:
             st = self.stations[node]
             counters = st.rollover_counters()
-            self.interval_records.append(
-                IntervalRecord(idx, node, tap[node], counters.busy_stop_us, counters.retrans)
-            )
+            self.interval_records.append((idx, node, counters))
             if mlda_on:
-                # the AP counts RTS/CTS itself and takes the other two bits as stamped
+                own = dfs.compute_cb(counters, mlda)
+                # the AP heard the RTS/CTS itself and takes the other two bits as stamped
                 bits[node] = dfs.CongestionBits(
-                    tap[node] > mlda.rc_th, node in self._stamp_c2, node in self._stamp_c3
+                    own.c1, node in self._stamp_c2, node in self._stamp_c3
                 )
                 # next interval every honest node stamps its own bits of this one
-                lies = st.aggressive and lying
-                st.stamp_cb = "000" if lies else str(dfs.compute_cb(counters, mlda))
+                st.stamp_cb = "000" if st.aggressive and lying else str(own)
 
         if mlda_on:
             for node, cb, status in dfs.monitor_interval(self.monitor, bits):
@@ -199,8 +183,7 @@ class SimulationRun:
                     action = "transmit_cb"
                 self.detection_rows.append((idx, node, str(cb), status, action))
 
-        # server-side observation state resets every interval
-        tap.clear()
+        # the stamps seen reset every interval
         self._stamp_c2.clear()
         self._stamp_c3.clear()
 

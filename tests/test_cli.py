@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from roqsim import harness
+from roqsim import cli, harness
 from roqsim.cli import main
 from roqsim.runner import SimulationRun
 
@@ -208,6 +208,10 @@ def test_bad_config_exits_1_without_hanging(tmp_path, config_text, field):
                      " 2007", id="attackers-over-station-cap"),
         pytest.param("period", {"periods_s": [0.0, 0.3]},
                      "sweep.periods_s[1]: attack.burst_s must be shorter", id="period"),
+        # 1e303 s has no whole number of microseconds, so the point would not convert
+        pytest.param("period", {"periods_s": [0.0, 1e303]},
+                     "sweep.periods_s[1] must be at most 1.79769e+302 s in magnitude",
+                     id="period-past-float-range"),
         # an empty list would calibrate, then write a header-only CSV and exit 0
         pytest.param("attackers", {"seeds": []}, "sweep.seeds is empty", id="seeds-empty"),
         pytest.param("attackers", {"attacker_counts": []}, "sweep.attacker_counts is empty",
@@ -231,6 +235,50 @@ def test_bad_sweep_item_exits_1_before_any_run(tmp_path, monkeypatch, capsys, ax
     assert main(["sweep", axis, "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error: " + message)
     assert not out.exists()
+
+
+_SPAN_TOO_LONG = " must be at most 1.79769e+302 s in magnitude, got "
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        # 1e303 s is 1e309 us: past the largest float, so no whole microsecond count
+        pytest.param({"duration_s": 1e303}, "duration_s" + _SPAN_TOO_LONG, id="duration"),
+        pytest.param({"warmup_s": 1e303}, "warmup_s" + _SPAN_TOO_LONG, id="warmup"),
+        pytest.param({"attack": {"period_s": 1e303}},
+                     "attack.period_s" + _SPAN_TOO_LONG, id="period"),
+        pytest.param({"attack": {"jitter_s": 1e303}},
+                     "attack.jitter_s" + _SPAN_TOO_LONG, id="jitter"),
+        # refused even while a zero period switches the attack off
+        pytest.param({"duration_s": 2, "warmup_s": 1,
+                      "attack": {"period_s": 0, "burst_s": 1e303}},
+                     "attack.burst_s" + _SPAN_TOO_LONG, id="burst"),
+        pytest.param({"phy": {"queue_lifetime_s": 1e303}},
+                     "phy.queue_lifetime_s" + _SPAN_TOO_LONG, id="queue-lifetime"),
+        pytest.param({"mlda": {"interval_s": 1e303}},
+                     "mlda.interval_s" + _SPAN_TOO_LONG, id="interval"),
+        # the run itself would convert it only after its first interval
+        pytest.param({"duration_s": 2, "warmup_s": 1, "defense": "mlda",
+                      "mlda": {"rc_th": 1, "se_th_s": 1e303, "re_th": 1}},
+                     "mlda.se_th_s" + _SPAN_TOO_LONG, id="se-threshold"),
+        pytest.param({"shrew": {"bin_s": 1e303}}, "shrew.bin_s" + _SPAN_TOO_LONG, id="bin"),
+        # a JSON integer past the float range is finite, and compares without conversion
+        pytest.param({"shrew": {"cutoff_hz": 10**330}}, "shrew.cutoff_hz must be in",
+                     id="cutoff-huge-integer"),
+    ],
+)
+def test_value_past_float_range_exits_1_before_any_run(tmp_path, monkeypatch, capsys, cfg,
+                                                       message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation started before the config was checked")
+
+    monkeypatch.setattr(harness, "run_simulation", no_run)
+    monkeypatch.setattr(cli, "SimulationRun", no_run)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: " + message)
 
 
 @pytest.mark.parametrize("workers", [0, -2])

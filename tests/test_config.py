@@ -1,9 +1,11 @@
 """Configuration loading, validation, and node layout."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roqsim.config import (
     DEFENSE_MLDA,
@@ -15,6 +17,7 @@ from roqsim.config import (
     config_from_dict,
     load_config,
 )
+from roqsim.runner import SimulationRun
 
 
 def test_defaults_validate():
@@ -135,3 +138,39 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(str(bad))
+
+
+def _paths(cls, prefix=()):
+    """The key path of every config field, each section itself included."""
+    for f in fields(cls):
+        path = prefix + (f.name,)
+        yield path
+        if is_dataclass(f.type):
+            yield from _paths(f.type, path)
+
+
+_NUMBERS = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e300, 1.7e308),
+)
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), _NUMBERS, st.text(max_size=4), st.lists(_NUMBERS, max_size=3)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(path=st.sampled_from(list(_paths(RunConfig))), value=_JSON_VALUES)
+def test_any_json_value_in_any_field_is_refused_or_builds(path, value):
+    # from the defaults, thresholds set so that defense "mlda" builds too
+    data = {"mlda": {"rc_th": 45.0, "se_th_s": 0.05, "re_th": 3.0}}
+    section = data
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError:
+        return
+    run = SimulationRun(cfg)
+    assert run.sim.dispatched == 0 and run.sim.now_us == 0

@@ -18,9 +18,9 @@ from roqsim.cli import main
 
 TRACED_RUN = {"duration_s": 20.0, "seed": 3, "defense": "mlda", "attack": {"count": 4}}
 TRACED_STDOUT_SHA256 = "8ff6f35256186536342d0d339f112104382c13f2e9a66d85d76a269d21acdcc2"
-TRACE_SHA256 = "2eb97af030ee772e7718edcace1deb0bf146ffbb68a3702269c6466d40b42db0"
+TRACE_SHA256 = "07be95730d6730894a65b06f07412c06ef50a05c22d27ca9ff8181d61c34d630"
 TRACE_FRAME_BLOCK_LINES = 8039
-TRACE_FRAME_BLOCK_SHA256 = "b9527a4df177fe41744d0e1998b8804978ae261119ac9649364fb4c5e4f86b23"
+TRACE_FRAME_BLOCK_SHA256 = "b9a26c70ab8425aaca118c6bcb46e8b8a06d045de0610c0925e7182e2dbcafdf"
 TRACED_DETECTIONS_SHA256 = "e1ab9759e6e0ca10b30a2efb54d5f128076be6f93237b666908cc90779b53b77"
 
 # absolute escalation, staggered attackers that zero their stamped bits

@@ -19,7 +19,7 @@ from roqsim.harness import (
     write_detections_csv,
     write_results_csv,
 )
-from roqsim.runner import IntervalRecord
+from roqsim.mac import IntervalCounters
 
 SMALL = {
     "duration_s": 15.0,
@@ -62,7 +62,7 @@ def test_calibration_samples_the_intervals_after_warmup(monkeypatch):
     cfg = config_from_dict({"duration_s": 0.5, "warmup_s": 0.3,
                             "mlda": {"interval_s": 0.1}, "attack": {"count": 0}})
     node = cfg.legit_nodes()[0]
-    records = [IntervalRecord(i, node, 10 * i, 0, 0) for i in range(1, 6)]
+    records = [(i, node, IntervalCounters(rts_cts=10 * i)) for i in range(1, 6)]
     monkeypatch.setattr(harness, "run_simulation",
                         lambda c: SimpleNamespace(interval_records=records))
     th = calibrate_thresholds(cfg)
@@ -74,7 +74,7 @@ def test_calibration_starts_after_a_warmup_that_ends_inside_an_interval(monkeypa
     cfg = config_from_dict({"duration_s": 0.6, "warmup_s": 0.25,
                             "mlda": {"interval_s": 0.1}, "attack": {"count": 0}})
     node = cfg.legit_nodes()[0]
-    records = [IntervalRecord(i, node, 10 * i, 0, 0) for i in range(1, 7)]
+    records = [(i, node, IntervalCounters(rts_cts=10 * i)) for i in range(1, 7)]
     monkeypatch.setattr(harness, "run_simulation",
                         lambda c: SimpleNamespace(interval_records=records))
     th = calibrate_thresholds(cfg)

@@ -77,9 +77,9 @@ def test_single_exchange_timing():
     assert done == [(7, OUT_DELIVERED, 110 + EXCHANGE_US)]
     assert st.state == "idle"
     assert len(st.queue) == 0
-    # monitor view: the AP heard the RTS, the sender heard the CTS
-    assert ap.counters.rts_cts == 1
-    assert st.counters.rts_cts == 1
+    # the sender counts its RTS and the CTS sent to it; the AP counts neither
+    assert st.counters.rts_cts == 2
+    assert ap.counters.rts_cts == 0
     assert st.counters.retrans == 0
 
 
@@ -89,7 +89,22 @@ def test_third_party_overhears_both_control_frames():
     watcher = Station(sim, medium, phy, 5, ScriptedRng())
     st.enqueue(Frame(DATA, 1, 0, 8000))
     sim.run_until(10_000)
-    assert watcher.counters.rts_cts == 2
+    # it defers to the exchange (RTS at 50) but counts neither frame: a
+    # node's RTS/CTS count is its own RTS plus the CTS sent to it
+    assert watcher.nav_until == 50 + EXCHANGE_US
+    assert watcher.counters.rts_cts == 0
+    assert st.counters.rts_cts == 2
+
+
+def test_a_disabled_node_still_counts_its_rts_and_the_cts_sent_to_it():
+    # as the AP hears them: blocked at 100 during its RTS (50-130), CTS 140-196
+    sim, phy, medium, ap = make_cell()
+    st = Station(sim, medium, phy, 1, ScriptedRng())
+    st.enqueue(Frame(DATA, 1, 0, 8000))
+    sim.schedule(100, "block", st.disable)
+    sim.run_until(10_000)
+    assert medium.last_tx_start == 140  # the CTS, which the blocked node ignores
+    assert st.counters.rts_cts == 2
 
 
 def test_same_instant_attempts_collide():
@@ -104,7 +119,9 @@ def test_same_instant_attempts_collide():
     # both count down one slot and fire RTS at t=70: the frames corrupt
     sim.run_until(70)
     assert medium.last_tx_start == 70
-    assert ap.counters.rts_cts == 0  # corrupted frames reach nobody
+    sim.run_until(150)
+    # corrupted frames reach nobody and count for nobody
+    assert st1.counters.rts_cts == 0 and st2.counters.rts_cts == 0
     sim.run_until(70 + 80 + phy.cts_timeout_us)
     assert st1.counters.retrans == 1
     assert st2.counters.retrans == 1
@@ -170,8 +187,8 @@ def test_nav_reset_after_unanswered_rts():
     sim.run_until(150)
     # RTS ended at 130; NAV covers the whole reserved exchange tail
     assert bystander.nav_until == 130 + phy.exchange_tail_us(8000)
-    sim.run_until(130 + phy.nav_reset_us)
-    assert bystander.nav_until == 130 + phy.nav_reset_us  # reservation released
+    sim.run_until(130 + phy.cts_timeout_us)
+    assert bystander.nav_until == 130 + phy.cts_timeout_us  # reservation released
 
 
 def test_nav_held_when_handshake_proceeds():
@@ -263,7 +280,7 @@ def test_disable_between_cts_and_data_cancels_the_data():
     sim.run_until(10_000)
     assert done == [(1, OUT_BLOCKED_DROP, 200)]
     assert medium.last_tx_start == 140  # the CTS was the last frame on air
-    assert ap.counters.rts_cts == 1 and st.counters.rts_cts == 1
+    assert st.counters.rts_cts == 2 and ap.counters.rts_cts == 0
 
 
 # backoff 3: DIFS to 50, slots to 110, RTS 110-190, CTS 200-256, DATA 266-4378,
@@ -357,7 +374,7 @@ def test_attempt_due_as_the_medium_turns_busy_still_fires():
     assert st1.backoff_rem == 0
     assert len(medium._active) == 2  # two RTS in the air: they collide
     sim.run_until(70 + 80 + phy.cts_timeout_us)
-    assert ap.counters.rts_cts == 0
+    assert st1.counters.rts_cts == 0 and st2.counters.rts_cts == 0
     assert st1.counters.retrans == 1 and st2.counters.retrans == 1
 
 

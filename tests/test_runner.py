@@ -1,12 +1,16 @@
 """End-to-end single runs: defenses, blocking, accounting, traces."""
 
 import io
+from collections import Counter
 
 import pytest
+from test_fingerprint import LYING_RUN, TRACED_RUN
 
 from roqsim.config import config_from_dict
-from roqsim.kernel import Simulator
-from roqsim.mac import OUT_BLOCKED_DROP
+from roqsim.defense import compute_cb
+from roqsim.harness import resolve_thresholds
+from roqsim.kernel import Simulator, to_us
+from roqsim.mac import DATA, OUT_BLOCKED_DROP, RTS, Medium
 from roqsim.runner import SimulationRun, run_simulation
 
 # explicit detection thresholds so these tests skip the calibration run
@@ -137,10 +141,80 @@ def test_trace_output():
 def test_interval_records_cover_all_stations():
     c = cfg(duration_s=10.0, warmup_s=2.0)
     result = run_simulation(c)
-    nodes = {rec.node for rec in result.interval_records}
+    nodes = {node for _, node, _ in result.interval_records}
     assert nodes == set(c.legit_nodes() + c.attacker_nodes())
-    indexes = {rec.index for rec in result.interval_records}
+    indexes = {index for index, _, _ in result.interval_records}
     assert indexes == set(range(1, 11))
+
+
+def _rts_cts_on_air(trace):
+    """Interval index -> node -> clean RTS the node sent plus clean CTS sent to it.
+
+    Read in dispatch order: each interval_rollover line closes an interval.
+    """
+    intervals = {}
+    current = Counter()
+    for line in trace.splitlines():
+        _, _, kind, detail = line.split("\t", 3)
+        if kind == "frame":
+            frame_kind, src, dst = detail.split()[:3]
+            if frame_kind == "RTS":
+                current[int(src[len("src="):])] += 1
+            elif frame_kind == "CTS":
+                current[int(dst[len("dst="):])] += 1
+        elif kind == "interval_rollover":
+            intervals[len(intervals) + 1] = current
+            current = Counter()
+    return intervals
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"duration_s": 20.0, "seed": 3}, id="none"),
+    pytest.param(TRACED_RUN, id="mlda-with-blocks"),
+])
+def test_rts_cts_count_equals_the_frames_on_air(config):
+    c = resolve_thresholds(config_from_dict(config))
+    trace = io.StringIO()
+    result = run_simulation(c, trace=trace)
+    on_air = _rts_cts_on_air(trace.getvalue())
+    assert len(on_air) == 20
+    counted = {(index, node): counters.rts_cts
+               for index, node, counters in result.interval_records}
+    assert counted == {(index, node): on_air[index][node] for index, node in counted}
+    assert {index for index, _ in counted} == set(on_air)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(TRACED_RUN, id="traced"),
+    pytest.param(LYING_RUN, id="lying"),
+])
+def test_stamps_carry_the_nodes_own_bits_of_the_last_interval(monkeypatch, config):
+    c = resolve_thresholds(config_from_dict(config))
+    sent = []
+    transmit = Medium.transmit
+
+    def recording_transmit(medium, src_id, frame, air_us):
+        if frame.kind == RTS or frame.kind == DATA:
+            sent.append((medium.sim.now_us, src_id, frame.cb))
+        return transmit(medium, src_id, frame, air_us)
+
+    monkeypatch.setattr(Medium, "transmit", recording_transmit)
+    result = run_simulation(c)
+    own = {(index, node): str(compute_cb(counters, c.mlda))
+           for index, node, counters in result.interval_records}
+    liars = set(c.attacker_nodes()) if c.mlda.lying_attacker else set()
+    interval_us = to_us(c.mlda.interval_s)
+    stamps = Counter()
+    for now, src, cb in sent:
+        # at a rollover instant the stamp may be either interval's
+        if now % interval_us == 0 or src == c.ap_node:
+            continue
+        k = now // interval_us + 1  # interval k covers ((k - 1) * interval, k * interval]
+        expected = "000" if k == 1 or src in liars else own[k - 1, src]
+        assert cb == expected, (now, src)
+        stamps[cb] += 1
+    # honest nodes stamped findings, and not on every frame
+    assert stamps["000"] and sum(stamps.values()) > stamps["000"]
 
 
 def test_result_window_and_rates():
