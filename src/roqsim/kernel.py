@@ -1,8 +1,16 @@
 """Deterministic discrete-event core: virtual clock, event queue, seeded RNG.
 
 Time is kept as non-negative integer microseconds so that slot arithmetic is
-exact and runs replay bit-for-bit.  Events with equal fire times dispatch in
-insertion order (monotone sequence number breaks ties).
+exact and runs replay bit-for-bit.  Events dispatch in (fire time, seq) order,
+seq being a counter that schedule() advances.
+
+The queue is a heap of distinct fire times plus, for each pending time, the
+list ("bucket") of that instant's handles in seq order.  Many events share a
+microsecond (one NAV check per station that heard an RTS, one DIFS end per
+contender), and each of them joins its bucket with a list append instead of
+a heap push.  run_until() pops one time and dispatches its bucket in one
+pass; an event scheduled at the current instant during the pass joins the
+same bucket, so it runs in that pass after every event already queued there.
 """
 
 import itertools
@@ -12,6 +20,10 @@ from heapq import heappop, heappush
 US_PER_S = 1_000_000
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Most events one instant may hold: the backstop against a callback that
+# reschedules itself at the current time forever.
+MAX_EVENTS_PER_INSTANT = 100_000
 
 
 def to_us(seconds):
@@ -65,11 +77,12 @@ class RandomSource:
 
 
 class EventHandle(list):
-    """Scheduled callback, and its own heap entry: [fire_us, seq, fn, kind, detail].
+    """Scheduled callback: [fire_us, seq, fn, kind, detail].
 
-    Entries order by (fire_us, seq); seq is unique, so the comparison never
-    reaches fn.  cancel() clears fn, which guarantees the event never fires;
-    the entry stays in the heap until its time comes and is skipped then.
+    The handle sits in the bucket of its fire time, behind every handle
+    scheduled for that instant before it.  cancel() clears fn, which
+    guarantees the event never fires; the handle stays in its bucket and is
+    skipped when the bucket is dispatched.
     """
 
     __slots__ = ()
@@ -92,7 +105,8 @@ class Simulator:
     def __init__(self, seed=0, trace=None):
         self.now_us = 0
         self.rng = RandomSource(seed)
-        self._heap = []
+        self._times = []  # heap of the distinct pending fire times
+        self._buckets = {}  # fire time -> that instant's handles, in seq order
         self._seqs = itertools.count()
         self._cur_seq = -1
         self._stamp_us = -1  # trace stamp "seconds.micros\t" of time _stamp_us
@@ -103,40 +117,68 @@ class Simulator:
     def schedule(self, fire_us, kind, fn, detail=""):
         """Schedule fn at absolute time fire_us; returns a cancellable handle.
 
-        Scheduling into the past is a programming error and raises ValueError.
+        Scheduling into the past is a programming error and raises ValueError,
+        as does scheduling at the current time once the current instant holds
+        MAX_EVENTS_PER_INSTANT events.
         """
+        if fire_us <= self.now_us:
+            self._check_now(fire_us, kind)
+        h = EventHandle((fire_us, next(self._seqs), fn, kind, detail))
+        bucket = self._buckets.get(fire_us)
+        if bucket is None:
+            self._buckets[fire_us] = [h]
+            heappush(self._times, fire_us)
+        else:
+            bucket.append(h)
+        return h
+
+    def _check_now(self, fire_us, kind):
+        # Only an event due now can keep one instant from ever ending.
         if fire_us < self.now_us:
             raise ValueError(
                 "schedule into the past: t=%s < now=%s (%s)"
                 % (fmt_time(fire_us), fmt_time(self.now_us), kind)
             )
-        h = EventHandle((fire_us, next(self._seqs), fn, kind, detail))
-        heappush(self._heap, h)
-        return h
+        if len(self._buckets.get(fire_us, ())) >= MAX_EVENTS_PER_INSTANT:
+            raise ValueError(
+                "more than %d events at t=%s (last scheduled: %s): a zero-delay loop"
+                % (MAX_EVENTS_PER_INSTANT, fmt_time(fire_us), kind)
+            )
 
     def run_until(self, end_us):
-        """Dispatch all events with fire time <= end_us; returns the count."""
+        """Dispatch all events with fire time <= end_us; returns the count.
+
+        A callback that raises ends the run: the rest of its instant is left
+        undispatched and the simulator must not be run further.
+        """
         if end_us < self.now_us:
             raise ValueError("run_until into the past")
-        heap = self._heap
+        times = self._times
+        buckets = self._buckets
         trace = self.trace
-        stamp_us = self._stamp_us
-        stamp = self._stamp
         count = 0
-        while heap and heap[0][0] <= end_us:
-            fire_us, seq, fn, kind, detail = heappop(heap)
-            if fn is None:
-                continue
+        while times and times[0] <= end_us:
+            fire_us = heappop(times)
             self.now_us = fire_us
-            if trace is not None:
-                if fire_us != stamp_us:  # many events share a timestamp
-                    stamp = "%d.%06d\t" % divmod(fire_us, US_PER_S)
-                    self._stamp_us = stamp_us = fire_us
-                    self._stamp = stamp
-                self._cur_seq = seq  # only trace_line reads it
-                trace.write(f"{stamp}{seq}\t{kind}\t{detail}\n")
-            fn()
-            count += 1
+            bucket = buckets[fire_us]
+            if trace is None:
+                for h in bucket:  # also reaches handles appended during the pass
+                    fn = h[2]
+                    if fn is not None:
+                        fn()
+                        count += 1
+            else:
+                if fire_us != self._stamp_us:
+                    self._stamp = "%d.%06d\t" % divmod(fire_us, US_PER_S)
+                    self._stamp_us = fire_us
+                stamp = self._stamp
+                for _, seq, fn, kind, detail in bucket:
+                    if fn is not None:
+                        self._cur_seq = seq  # only trace_line reads it
+                        trace.write(f"{stamp}{seq}\t{kind}\t{detail}\n")
+                        fn()
+                        count += 1
+            del buckets[fire_us]
         self.now_us = end_us
         self.dispatched += count
         return count

@@ -13,6 +13,7 @@ import pytest
 
 from roqsim import cli, harness
 from roqsim.cli import main
+from roqsim.kernel import MAX_EVENTS_PER_INSTANT
 from roqsim.runner import SimulationRun
 
 REPO = Path(__file__).resolve().parents[1]
@@ -299,6 +300,7 @@ def test_sweep_refuses_fewer_than_one_worker(config_path, tmp_path, monkeypatch,
 _RUN = """
 import sys
 from roqsim.cli import main
+from roqsim.kernel import MAX_EVENTS_PER_INSTANT
 sys.exit(main(sys.argv[1:]))
 """
 # a None entry in sys.modules makes that import raise ImportError
@@ -377,6 +379,19 @@ def test_crash_exits_2_without_a_traceback(config_path, monkeypatch, capsys):
     monkeypatch.setattr(SimulationRun, "execute", crash)
     assert main(["run", "--config", config_path]) == 2
     assert capsys.readouterr().err == "run failed: RuntimeError: boom\n"
+
+
+def test_zero_delay_loop_exits_2_without_hanging(config_path, monkeypatch, capsys):
+    # the kernel's backstop: an event that reschedules itself at the current
+    # time forever is a run failure, not a hang
+    def spin(run):
+        run.sim.schedule(run.sim.now_us, "interval_rollover", lambda: spin(run))
+
+    monkeypatch.setattr(SimulationRun, "_on_interval", spin)
+    assert main(["run", "--config", config_path]) == 2
+    assert capsys.readouterr().err == (
+        "run failed: more than %d events at t=1.000000 (last scheduled: interval_rollover): "
+        "a zero-delay loop\n" % MAX_EVENTS_PER_INSTANT)
 
 
 def test_keyboard_interrupt_still_propagates(config_path, monkeypatch):

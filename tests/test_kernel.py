@@ -2,10 +2,14 @@
 
 import io
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roqsim.kernel import RandomSource, Simulator, _mix64, fmt_time, to_us
+from roqsim.kernel import (
+    MAX_EVENTS_PER_INSTANT, RandomSource, Simulator, _mix64, fmt_time, to_us)
 
 
 def test_to_us_rounds_to_nearest():
@@ -152,6 +156,179 @@ def test_handle_reads_back_fire_time_and_cancelled():
     h.cancel()
     assert h.cancelled
     assert h.fire_us == 75
+
+
+def test_bucket_grows_while_it_is_dispatched():
+    # events scheduled at the current instant run in the same pass, after
+    # every event already queued for it, in the order they were scheduled
+    sim = Simulator(seed=0)
+    seen = []
+
+    def parent(tag):
+        seen.append(tag)
+        sim.schedule(sim.now_us, tag + ".child", lambda: child(tag))
+
+    def child(tag):
+        seen.append(tag + ".child")
+        if tag == "a":
+            sim.schedule(sim.now_us, "a.grandchild", lambda: seen.append("a.grandchild"))
+
+    sim.schedule(50, "a", lambda: parent("a"))
+    sim.schedule(50, "b", lambda: parent("b"))
+    sim.schedule(51, "later", lambda: seen.append("later"))
+    assert sim.run_until(50) == 5
+    assert seen == ["a", "b", "a.child", "b.child", "a.grandchild"]
+    assert sim.run_until(60) == 1
+
+
+def test_schedule_at_now_after_run_until_ends_on_the_instant():
+    buf = io.StringIO()
+    sim = Simulator(seed=0, trace=buf)
+    seen = []
+    sim.schedule(100, "first", lambda: seen.append("first"))
+    assert sim.run_until(100) == 1
+    sim.schedule(100, "second", lambda: seen.append("second"))
+    sim.schedule(100, "third", lambda: seen.append("third"))
+    assert sim.run_until(100) == 2
+    assert seen == ["first", "second", "third"]
+    assert (sim.now_us, sim.dispatched) == (100, 3)
+    assert buf.getvalue() == (
+        "0.000100\t0\tfirst\t\n0.000100\t1\tsecond\t\n0.000100\t2\tthird\t\n")
+
+
+def test_cancel_inside_the_bucket_being_dispatched():
+    sim = Simulator(seed=0)
+    seen = []
+    handles = {}
+
+    def first():
+        seen.append("first")
+        handles["first"].cancel()  # already running: a no-op
+        handles["appended"] = sim.schedule(sim.now_us, "appended", lambda: seen.append("appended"))
+        handles["second"].cancel()
+
+    def third():
+        seen.append("third")
+        handles["appended"].cancel()  # joined the bucket behind this event
+
+    handles["first"] = sim.schedule(10, "first", first)
+    handles["second"] = sim.schedule(10, "second", lambda: seen.append("second"))
+    sim.schedule(10, "third", third)
+    assert sim.run_until(10) == 2
+    assert seen == ["first", "third"]
+    assert sim.run_until(20) == 0
+
+
+def test_an_event_rescheduling_itself_now_raises_instead_of_hanging():
+    sim = Simulator(seed=0)
+    fires = []
+
+    def spin():
+        fires.append(sim.now_us)
+        sim.schedule(sim.now_us, "spin", spin)
+
+    sim.schedule(100, "spin", spin)
+    message = "more than %d events at t=0.000100 (last scheduled: spin)" % MAX_EVENTS_PER_INSTANT
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sim.run_until(1_000)
+    assert fires == [100] * MAX_EVENTS_PER_INSTANT
+
+
+class _SortedListQueue:
+    """Reference event queue: one list kept sorted by (fire time, seq)."""
+
+    def __init__(self):
+        self.now_us = 0
+        self.dispatched = 0
+        self.lines = []
+        self._pending = []  # [fire_us, seq, fn, kind, detail]
+        self._seq = 0
+        self._last_seq = -1
+
+    def schedule(self, fire_us, kind, fn, detail):
+        assert fire_us >= self.now_us
+        entry = [fire_us, self._seq, fn, kind, detail]
+        self._seq += 1
+        self._pending.append(entry)
+        self._pending.sort(key=lambda e: (e[0], e[1]))
+        return entry
+
+    @staticmethod
+    def cancel(entry):
+        entry[2] = None
+
+    def run_until(self, end_us):
+        count = 0
+        while self._pending and self._pending[0][0] <= end_us:
+            fire_us, seq, fn, kind, detail = self._pending.pop(0)
+            if fn is not None:
+                self.now_us = fire_us
+                self._last_seq = seq
+                self.trace_line(kind, detail)
+                fn()
+                count += 1
+        self.now_us = end_us
+        self.dispatched += count
+        return count
+
+    def trace_line(self, kind, detail):
+        self.lines.append("%d.%06d\t%d\t%s\t%s\n" % (
+            self.now_us // 1_000_000, self.now_us % 1_000_000, self._last_seq, kind, detail))
+
+
+_MAX_EVENTS = 200  # per program, so that zero-delay chains end
+_ACTIONS = st.lists(st.one_of(
+    st.tuples(st.just("at"), st.sampled_from([0, 0, 0, 1, 3, 20])),  # schedule at now + delay
+    st.tuples(st.just("cancel"), st.integers(0, 10_000)),  # any handle made so far
+    st.tuples(st.just("note"), st.integers(0, 9)),  # trace_line
+), max_size=3)
+
+
+def _play(queue, cancel, programs, initial, slices):
+    """Run one program on a queue; return what a caller can observe."""
+    handles = []
+    log = []
+
+    def add(fire_us):
+        if len(handles) < _MAX_EVENTS:
+            i = len(handles)
+            handles.append(queue.schedule(fire_us, "k%d" % (i % 3), lambda: fire(i), "i=%d" % i))
+
+    def act(actions):
+        for op, arg in actions:
+            if op == "at":
+                add(queue.now_us + arg)
+            elif op == "cancel" and handles:
+                cancel(handles[arg % len(handles)])
+            elif op == "note":
+                queue.trace_line("note", "n=%d" % arg)
+
+    def fire(i):
+        log.append(("fire", i, queue.now_us))
+        act(programs[i % len(programs)])
+
+    for fire_us in initial:
+        add(fire_us)
+    # run_until in slices, as the bench's probe does, acting between them
+    for step, actions in slices + [(10_000, [])]:
+        end_us = queue.now_us + step
+        log.append(("slice", queue.run_until(end_us), queue.now_us, queue.dispatched))
+        act(actions)
+    return log
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(programs=st.lists(_ACTIONS, min_size=1, max_size=6),
+       initial=st.lists(st.integers(0, 40), max_size=12),
+       slices=st.lists(st.tuples(st.integers(0, 15), _ACTIONS), max_size=8))
+def test_dispatch_order_equals_a_sorted_list_queue(programs, initial, slices):
+    ref = _SortedListQueue()
+    want = _play(ref, ref.cancel, programs, initial, slices)
+    buf = io.StringIO()
+    for trace in (None, buf):  # the kernel dispatches on two paths
+        sim = Simulator(seed=0, trace=trace)
+        assert _play(sim, lambda h: h.cancel(), programs, initial, slices) == want
+    assert buf.getvalue() == "".join(ref.lines)
 
 
 def test_rng_repeatable_across_instances():

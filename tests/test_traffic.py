@@ -294,7 +294,7 @@ def test_pulsed_source_stops_once_station_is_disabled():
     sim.run_until(5_000_000)
     assert src.arrivals == 7 and len(st.sent) == 7
     assert sim.dispatched == 8  # the arrival due after the block finds it and stops
-    assert not sim._heap  # nothing rescheduled
+    assert sim.run_until(100_000_000) == 0  # nothing rescheduled
 
 
 @pytest.mark.parametrize("seed, offset_us, first_burst", [(0, -32242, 107), (5, -70810, 91)])
