@@ -28,6 +28,7 @@ retransmissions.
 """
 
 from collections import deque
+from dataclasses import astuple
 
 from .config import PhySection
 from .kernel import to_us
@@ -56,44 +57,20 @@ ACK_BITS = 112
 MAC_HEADER_BITS = 224
 
 
-class PhyParams:
-    """Channel timing derived from a config's PHY section (default: PhySection())."""
-
-    __slots__ = (
-        "slot_us",
-        "sifs_us",
-        "difs_us",
-        "rate_bps",
-        "cw_min",
-        "cw_max",
-        "retry_limit",
-        "queue_lifetime_us",
-        "rts_us",
-        "cts_us",
-        "ack_us",
-        "cts_timeout_us",
-        "ack_timeout_us",
-        "_tails",
-    )
+class PhyParams(PhySection):
+    """A config's PHY section (default: PhySection()) and its channel timing."""
 
     def __init__(self, section=None):
-        s = PhySection() if section is None else section
-        self.slot_us = s.slot_us
-        self.sifs_us = s.sifs_us
-        self.difs_us = s.difs_us
-        self.rate_bps = s.rate_bps
-        self.cw_min = s.cw_min
-        self.cw_max = s.cw_max
-        self.retry_limit = s.retry_limit
-        self.queue_lifetime_us = to_us(s.queue_lifetime_s)
+        super().__init__(*astuple(section or PhySection()))
+        self.queue_lifetime_us = to_us(self.queue_lifetime_s)
         self.rts_us = self.airtime_us(RTS_BITS)
         self.cts_us = self.airtime_us(CTS_BITS)
         self.ack_us = self.airtime_us(ACK_BITS)
         # responder answers at SIFS; allow one slot of slack before giving up.
         # A station that overheard an RTS releases its NAV after the same wait
         # if no CTS followed.
-        self.cts_timeout_us = s.sifs_us + self.cts_us + 2 * s.slot_us
-        self.ack_timeout_us = s.sifs_us + self.ack_us + 2 * s.slot_us
+        self.cts_timeout_us = self.sifs_us + self.cts_us + 2 * self.slot_us
+        self.ack_timeout_us = self.sifs_us + self.ack_us + 2 * self.slot_us
         self._tails = {}  # exchange_tail_us by payload size
 
     def airtime_us(self, bits):
@@ -164,10 +141,14 @@ def _noop(*_args):
 
 
 class Medium:
-    """Shared single-cell channel tracking overlapping transmissions."""
+    """Shared single-cell channel tracking overlapping transmissions.
 
-    def __init__(self, sim):
+    It holds the clock and the PHY timing (a PhyParams) of every station on it.
+    """
+
+    def __init__(self, sim, phy):
         self.sim = sim
+        self.phy = phy
         # by node id: the order stations receive frames and hear busy/idle
         self._stations = []
         self._active = []
@@ -234,7 +215,7 @@ class Medium:
                         if nav > st.nav_until:
                             st.nav_until = nav
                         if kind == RTS:
-                            sim.schedule(now + st.phy.cts_timeout_us, "nav_reset_check",
+                            sim.schedule(now + self.phy.cts_timeout_us, "nav_reset_check",
                                          st._nav_reset_check)
         if not active:
             for st in self._stations:
@@ -254,17 +235,17 @@ class Station:
     deassociation: the station stops transmitting entirely.
     """
 
-    def __init__(self, sim, medium, phy, node_id, rng, attack=None):
-        self.sim = sim
+    def __init__(self, medium, node_id, rng, attack=None):
+        self.sim = medium.sim
         self.medium = medium
-        self.phy = phy
+        self.phy = medium.phy
         self.node_id = node_id
         self.rng = rng
         self.aggressive = attack is not None
         self.queue_cap = attack.queue_cap if self.aggressive else None
         self.queue = deque()
         self.state = IDLE
-        self.cw_base = attack.cw if self.aggressive else phy.cw_min
+        self.cw_base = attack.cw if self.aggressive else self.phy.cw_min
         self.cw = self.cw_base
         self.disabled = False
         self.retry = 0

@@ -56,8 +56,7 @@ class SimulationRun:
         config.validate()
         self.config = config
         self.sim = Simulator(seed=config.seed, trace=trace)
-        self.phy = PhyParams(config.phy)
-        self.medium = Medium(self.sim)
+        self.medium = Medium(self.sim, PhyParams(config.phy))
         self.warmup_us = to_us(config.warmup_s)
         self.duration_us = to_us(config.duration_s)
         self.legit_nodes = config.legit_nodes()
@@ -89,33 +88,33 @@ class SimulationRun:
         self.pulsed_sources = {}
         self.recorders = {}
 
-        ap = Station(sim, self.medium, self.phy, cfg.ap_node, sim.rng.fork(cfg.ap_node))
+        ap = Station(self.medium, cfg.ap_node, sim.rng.fork(cfg.ap_node))
         ap.blocklist = self.blocklist
         ap.on_data_rx = self._ap_data_rx
         self.stations[cfg.ap_node] = ap  # its copies are TCP ACKs: overhead, not a flow
 
         for node in self.legit_nodes:
-            st = Station(sim, self.medium, self.phy, node, sim.rng.fork(node))
+            st = Station(self.medium, node, sim.rng.fork(node))
             fs = self.stats[node] = FlowStats(False, self.warmup_us)
-            src = self.tcp_sources[node] = TcpSource(sim, st, cfg.ap_node, cfg.legit)
+            src = self.tcp_sources[node] = TcpSource(st, cfg.ap_node, cfg.legit)
             st.on_enqueue = fs.on_sent
             st.on_copy_done = fs.on_copy_done
             st.on_data_rx = src.on_transport_ack  # only the AP sends it DATA
             self.stations[node] = st
-            self.sinks[node] = TcpSink(sim, ap, node)
+            self.sinks[node] = TcpSink(ap, node)
 
         attack = cfg.attack
         active = cfg.attack_enabled()
         n_attack = len(self.attacker_nodes)
         for i, node in enumerate(self.attacker_nodes):
-            st = Station(sim, self.medium, self.phy, node, sim.rng.fork(node), attack=attack)
+            st = Station(self.medium, node, sim.rng.fork(node), attack=attack)
             fs = self.stats[node] = FlowStats(True, self.warmup_us)
             st.on_enqueue = fs.on_sent
             st.on_copy_done = fs.on_copy_done
             self.stations[node] = st
             if active:
                 phase_us = to_us(i * attack.period_s / n_attack) if attack.stagger else 0
-                self.pulsed_sources[node] = PulsedSource(sim, st, cfg.ap_node, attack, phase_us)
+                self.pulsed_sources[node] = PulsedSource(st, cfg.ap_node, attack, phase_us)
 
         # arrival spectra are recorded for every flow regardless of defense
         bin_us = to_us(cfg.shrew.bin_s)
@@ -249,11 +248,12 @@ def run_simulation(config, trace=None):
     """Run one simulation and free it before returning its result.
 
     A run's objects hold each other in reference cycles (stations and the
-    medium, station hooks and their TCP sources, heap entries and the bound
-    methods they call), which reference counting cannot free.  Python's full
-    collection comes round only after many more allocations, so a process
-    running one simulation after another would keep several finished runs;
-    collecting here frees each one before the caller builds the next.
+    medium, station hooks and their TCP sources, the kernel's buckets of event
+    handles and the bound methods they call), which reference counting cannot
+    free.  Python's full collection comes round only after many more
+    allocations, so a process running one simulation after another would keep
+    several finished runs; collecting here frees each one before the caller
+    builds the next.
     """
     result = SimulationRun(config, trace=trace).execute()
     gc.collect()

@@ -71,8 +71,8 @@ class TcpSource:
     data ready.
     """
 
-    def __init__(self, sim, station, dst, legit):
-        self.sim = sim
+    def __init__(self, station, dst, legit):
+        self.sim = station.sim
         self.station = station
         self.dst = dst
         self.packet_bits = legit.packet_bits
@@ -174,8 +174,7 @@ class TcpSink:
     its cumulative ack number is bumped in place instead of enqueuing more.
     """
 
-    def __init__(self, sim, ap_station, src_node):
-        self.sim = sim
+    def __init__(self, ap_station, src_node):
         self.ap = ap_station
         self.src_node = src_node
         self.rcv_hi = 0
@@ -216,8 +215,8 @@ class PulsedSource:
     Once the station is disabled (blocked) the source offers nothing more.
     """
 
-    def __init__(self, sim, station, dst, attack, phase_us):
-        self.sim = sim
+    def __init__(self, station, dst, attack, phase_us):
+        self.sim = station.sim
         self.station = station
         self.dst = dst
         self.packet_bits = attack.packet_bits

@@ -3,7 +3,10 @@
 G. Bianchi, "Performance analysis of the IEEE 802.11 distributed coordination
 function", IEEE JSAC 18(3), 2000.  Aggressive attackers never double their
 window, which is the model's m = 0 case: each saturated station transmits in
-a slot with probability tau = 2 / (cw + 2).  The model knows nothing of the
+a slot with probability tau = 2 / (cw + 2).  Compliant stations double it up
+to cw_max and drop a frame after retry_limit retries, the fixed point with a
+retry limit of H. Wu et al., "Performance of reliable transport protocol over
+IEEE 802.11 wireless LAN", INFOCOM 2002.  The model knows nothing of the
 simulator but the PHY timings, so agreement checks the contention, freezing
 and four-way handshake timing end to end.
 """
@@ -11,15 +14,48 @@ and four-way handshake timing end to end.
 import pytest
 
 from roqsim.config import config_from_dict
-from roqsim.mac import PhyParams
+from roqsim.kernel import Simulator, to_us
+from roqsim.mac import DATA, OUT_DELIVERED, Frame, Medium, PhyParams, Station
 from roqsim.runner import run_simulation
 
 TOLERANCE = 0.03
+# absolute: seeds 1 to 3 lie within 0.022 of the model at 2, 5 and 10
+# stations, while a window that never doubles reads 0.21 at 5 and 0.40 at 10
+COLLISION_TOLERANCE = 0.025
 
 
 def bianchi_goodput_bps(n, cw, phy, payload_bits):
     """Saturation goodput of n stations with a fixed window cw (RTS/CTS access)."""
-    tau = 2.0 / (cw + 2)
+    return saturation_goodput_bps(n, 2.0 / (cw + 2), phy, payload_bits)
+
+
+def backoff_tau(n, phy):
+    """Transmit probability per slot of n saturated compliant stations.
+
+    A frame reaches backoff stage i (window min(2^i (cw_min + 1), cw_max + 1))
+    with probability p^i, for stages 0 to retry_limit, and spends (W + 1) / 2
+    slots there on average, its transmission included; tau is attempts over
+    slots, and p = 1 - (1 - tau)^(n - 1) is solved by bisection.
+    """
+    stages = range(phy.retry_limit + 1)
+    windows = [min((phy.cw_min + 1) << i, phy.cw_max + 1) for i in stages]
+
+    def tau_of(p):
+        return (sum(p ** i for i in stages)
+                / sum(p ** i * (w + 1) / 2 for i, w in zip(stages, windows)))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        p = (lo + hi) / 2
+        if 1.0 - (1.0 - tau_of(p)) ** (n - 1) > p:
+            lo = p
+        else:
+            hi = p
+    return tau_of((lo + hi) / 2)
+
+
+def saturation_goodput_bps(n, tau, phy, payload_bits):
+    """Goodput of n saturated stations that each transmit with probability tau."""
     p_tr = 1.0 - (1.0 - tau) ** n  # some station transmits in a slot
     p_s = n * tau * (1.0 - tau) ** (n - 1) / p_tr  # exactly one does
     ts_us = (phy.rts_us + phy.cts_us + phy.data_us(payload_bits) + phy.ack_us
@@ -44,3 +80,44 @@ def test_saturated_goodput_matches_bianchi(n, cw):
     model = bianchi_goodput_bps(n, cw, PhyParams(cfg.phy), cfg.attack.packet_bits)
     assert abs(goodput / model - 1.0) <= TOLERANCE, (
         "n=%d cw=%d: %.0f bps simulated, %.0f bps by the model" % (n, cw, goodput, model))
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_saturated_compliant_backoff_matches_bianchi_with_a_retry_limit(n):
+    # stations on the MAC alone, each handed a fresh frame whenever one is done
+    # with, so every queue stays saturated
+    payload_bits, warmup_us, duration_us = 8000, to_us(5.0), to_us(30.0)
+    sim = Simulator(seed=1)
+    phy = PhyParams()
+    medium = Medium(sim, phy)
+    Station(medium, 0, sim.rng.fork(0))
+    delivered = []  # (time, payload bits) of every delivered frame
+
+    def refill(station):
+        def on_copy_done(frame, outcome, now):
+            if outcome == OUT_DELIVERED:
+                delivered.append((now, frame.payload_bits))
+            station.enqueue(Frame(DATA, station.node_id, 0, payload_bits))
+        return on_copy_done
+
+    stations = []
+    for node in range(1, n + 1):
+        station = Station(medium, node, sim.rng.fork(node))
+        station.on_copy_done = refill(station)
+        station.enqueue(Frame(DATA, node, 0, payload_bits))
+        stations.append(station)
+    sim.run_until(duration_us)
+    goodput = (sum(bits for now, bits in delivered if now >= warmup_us)
+               / ((duration_us - warmup_us) / 1e6))
+    tau = backoff_tau(n, phy)
+    model = saturation_goodput_bps(n, tau, phy, payload_bits)
+    assert abs(goodput / model - 1.0) <= TOLERANCE, (
+        "n=%d: %.0f bps simulated, %.0f bps by the model" % (n, goodput, model))
+    # the goodput hardly depends on the window, the collisions do: every
+    # attempt ends in a delivery or a CTS timeout, over the whole run
+    timeouts = sum(station.counters.retrans for station in stations)
+    collided = timeouts / (timeouts + len(delivered))
+    p_model = 1.0 - (1.0 - tau) ** (n - 1)
+    assert abs(collided - p_model) <= COLLISION_TOLERANCE, (
+        "n=%d: collision probability %.4f simulated, %.4f by the model"
+        % (n, collided, p_model))

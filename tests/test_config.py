@@ -13,10 +13,12 @@ from roqsim.config import (
     MAX_STATIONS,
     MAX_WINDOW_BINS,
     ConfigError,
+    PhySection,
     RunConfig,
     config_from_dict,
     load_config,
 )
+from roqsim.mac import PhyParams
 from roqsim.runner import SimulationRun
 
 
@@ -30,6 +32,16 @@ def test_dict_round_trip():
     cfg = RunConfig()
     clone = config_from_dict(asdict(cfg))
     assert asdict(clone) == asdict(cfg)
+
+
+def test_every_phy_field_reaches_the_mac():
+    # each knob off its default and unlike every other, so a field the MAC
+    # misses, reads from the defaults or swaps with another shows
+    section = PhySection(**{f.name: f.default + i + 1
+                            for i, f in enumerate(fields(PhySection))})
+    phy = PhyParams(section)
+    for f in fields(PhySection):
+        assert getattr(phy, f.name) == getattr(section, f.name), f.name
 
 
 def test_node_layout():

@@ -50,8 +50,8 @@ def collector(log):
 def make_cell():
     sim = Simulator(seed=0)
     phy = PhyParams()
-    medium = Medium(sim)
-    ap = Station(sim, medium, phy, 0, ScriptedRng())
+    medium = Medium(sim, phy)
+    ap = Station(medium, 0, ScriptedRng())
     return sim, phy, medium, ap
 
 
@@ -69,7 +69,7 @@ def test_airtime_arithmetic():
 def test_single_exchange_timing():
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng([3]))
+    st = Station(medium, 1, ScriptedRng([3]))
     st.on_copy_done = collector(done)
     st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=7))
     sim.run_until(10_000)
@@ -85,8 +85,8 @@ def test_single_exchange_timing():
 
 def test_third_party_overhears_both_control_frames():
     sim, phy, medium, ap = make_cell()
-    st = Station(sim, medium, phy, 1, ScriptedRng([0]))
-    watcher = Station(sim, medium, phy, 5, ScriptedRng())
+    st = Station(medium, 1, ScriptedRng([0]))
+    watcher = Station(medium, 5, ScriptedRng())
     st.enqueue(Frame(DATA, 1, 0, 8000))
     sim.run_until(10_000)
     # it defers to the exchange (RTS at 50) but counts neither frame: a
@@ -99,7 +99,7 @@ def test_third_party_overhears_both_control_frames():
 def test_a_disabled_node_still_counts_its_rts_and_the_cts_sent_to_it():
     # as the AP hears them: blocked at 100 during its RTS (50-130), CTS 140-196
     sim, phy, medium, ap = make_cell()
-    st = Station(sim, medium, phy, 1, ScriptedRng())
+    st = Station(medium, 1, ScriptedRng())
     st.enqueue(Frame(DATA, 1, 0, 8000))
     sim.schedule(100, "block", st.disable)
     sim.run_until(10_000)
@@ -110,8 +110,8 @@ def test_a_disabled_node_still_counts_its_rts_and_the_cts_sent_to_it():
 def test_same_instant_attempts_collide():
     sim, phy, medium, ap = make_cell()
     done1, done2 = [], []
-    st1 = Station(sim, medium, phy, 1, ScriptedRng([1, 9]))
-    st2 = Station(sim, medium, phy, 2, ScriptedRng([1, 17]))
+    st1 = Station(medium, 1, ScriptedRng([1, 9]))
+    st2 = Station(medium, 2, ScriptedRng([1, 17]))
     st1.on_copy_done = collector(done1)
     st2.on_copy_done = collector(done2)
     st1.enqueue(Frame(DATA, 1, 0, 8000))
@@ -135,7 +135,7 @@ def test_same_instant_attempts_collide():
 def test_cw_doubles_then_retry_drop():
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng())  # backoff always 0
+    st = Station(medium, 1, ScriptedRng())  # backoff always 0
     st.on_copy_done = collector(done)
     st.enqueue(Frame(DATA, 1, 99, 8000, seq_no=5))  # node 99 does not exist
     # attempt k happens at 236*(k-1)+50; its CTS timeout lands at 236*k
@@ -153,7 +153,7 @@ def test_cw_doubles_then_retry_drop():
 
 def test_aggressive_station_never_widens_window():
     sim, phy, medium, ap = make_cell()
-    st = Station(sim, medium, phy, 1, ScriptedRng(), attack=AttackSection(cw=7))
+    st = Station(medium, 1, ScriptedRng(), attack=AttackSection(cw=7))
     assert st.aggressive and st.cw_base == 7
     st.enqueue(Frame(DATA, 1, 99, 8000))
     sim.run_until(236 * 3)
@@ -164,7 +164,7 @@ def test_aggressive_station_never_widens_window():
 def test_backoff_freezes_and_accrues_stime():
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng([5]))
+    st = Station(medium, 1, ScriptedRng([5]))
     st.on_copy_done = collector(done)
     st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=1))
     # foreign 100 us transmission lands mid-countdown at t=70
@@ -181,8 +181,8 @@ def test_backoff_freezes_and_accrues_stime():
 
 def test_nav_reset_after_unanswered_rts():
     sim, phy, medium, ap = make_cell()
-    st = Station(sim, medium, phy, 1, ScriptedRng())
-    bystander = Station(sim, medium, phy, 5, ScriptedRng())
+    st = Station(medium, 1, ScriptedRng())
+    bystander = Station(medium, 5, ScriptedRng())
     st.enqueue(Frame(DATA, 1, 99, 8000))  # dst absent: no CTS will follow
     sim.run_until(150)
     # RTS ended at 130; NAV covers the whole reserved exchange tail
@@ -193,8 +193,8 @@ def test_nav_reset_after_unanswered_rts():
 
 def test_nav_held_when_handshake_proceeds():
     sim, phy, medium, ap = make_cell()
-    st = Station(sim, medium, phy, 1, ScriptedRng())
-    bystander = Station(sim, medium, phy, 5, ScriptedRng())
+    st = Station(medium, 1, ScriptedRng())
+    bystander = Station(medium, 5, ScriptedRng())
     st.enqueue(Frame(DATA, 1, 0, 8000))
     sim.run_until(400)  # past the would-be reset at 236: CTS went out at 140
     assert bystander.nav_until == 130 + phy.exchange_tail_us(8000)
@@ -203,7 +203,7 @@ def test_nav_held_when_handshake_proceeds():
 def test_stale_head_dropped_after_lifetime():
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng())
+    st = Station(medium, 1, ScriptedRng())
     st.on_copy_done = collector(done)
     st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=9))
     # channel jammed from t=10 for 600 ms, past the 500 ms queue lifetime
@@ -217,7 +217,7 @@ def test_stale_head_dropped_after_lifetime():
 def test_aggressive_station_keeps_stale_frames():
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng(), attack=AttackSection(cw=7))
+    st = Station(medium, 1, ScriptedRng(), attack=AttackSection(cw=7))
     st.on_copy_done = collector(done)
     st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=9))
     noise = Frame(DATA, 8, 77, 0)
@@ -229,8 +229,8 @@ def test_aggressive_station_keeps_stale_frames():
 def test_ap_blocklist_suppresses_cts():
     sim, phy, medium, ap = make_cell()
     ap.blocklist = {1}
-    st1 = Station(sim, medium, phy, 1, ScriptedRng())
-    st2 = Station(sim, medium, phy, 2, ScriptedRng([2]))
+    st1 = Station(medium, 1, ScriptedRng())
+    st2 = Station(medium, 2, ScriptedRng([2]))
     done2 = []
     st2.on_copy_done = collector(done2)
     st1.enqueue(Frame(DATA, 1, 0, 8000))
@@ -256,7 +256,7 @@ def test_ap_blocklist_discards_data():
 def test_disable_drains_queue_and_silences_station():
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng([500]))
+    st = Station(medium, 1, ScriptedRng([500]))
     st.on_copy_done = collector(done)
     for seq in (1, 2, 3):
         st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=seq))
@@ -273,7 +273,7 @@ def test_disable_between_cts_and_data_cancels_the_data():
     # backoff 0: RTS at 50-130, CTS at 140-196, DATA due at 206; blocked at 200
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng())
+    st = Station(medium, 1, ScriptedRng())
     st.on_copy_done = collector(done)
     st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=1))
     sim.schedule(200, "block", st.disable)
@@ -290,7 +290,7 @@ def test_disable_cancels_every_pending_step_of_the_station(block_us):
     sim, phy, medium, ap = make_cell()
     sim.trace = io.StringIO()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng([3]))
+    st = Station(medium, 1, ScriptedRng([3]))
     st.on_copy_done = collector(done)
     st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=1))
     sim.schedule(block_us, "block", st.disable)
@@ -309,7 +309,7 @@ def test_disable_cancels_every_pending_step_of_the_station(block_us):
 def test_queue_cap_overflow():
     sim, phy, medium, ap = make_cell()
     done = []
-    st = Station(sim, medium, phy, 1, ScriptedRng([7]), attack=AttackSection(queue_cap=2))
+    st = Station(medium, 1, ScriptedRng([7]), attack=AttackSection(queue_cap=2))
     st.on_copy_done = collector(done)
     assert st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=1)) is True
     assert st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=2)) is True
@@ -320,7 +320,7 @@ def test_queue_cap_overflow():
 
 def test_interval_rollover_splits_freeze():
     sim, phy, medium, ap = make_cell()
-    st = Station(sim, medium, phy, 1, ScriptedRng([50]))
+    st = Station(medium, 1, ScriptedRng([50]))
     st.enqueue(Frame(DATA, 1, 0, 8000))
     noise = Frame(DATA, 8, 77, 0)
     sim.schedule(10, "noise", lambda: medium.transmit(8, noise, 200))
@@ -337,7 +337,7 @@ def test_interval_rollover_splits_freeze():
 def test_medium_rejects_duplicate_ids():
     sim, phy, medium, ap = make_cell()
     with pytest.raises(ValueError):
-        Station(sim, medium, phy, 0, ScriptedRng())
+        Station(medium, 0, ScriptedRng())
 
 
 # -- the contention timer rules --------------------------------------------
@@ -350,7 +350,7 @@ def test_difs_ending_as_the_medium_turns_busy_is_cancelled():
     noise = Frame(DATA, 8, 77, 0)
     # scheduled first, so at t=50 the medium turns busy before the DIFS would end
     sim.schedule(50, "noise", lambda: medium.transmit(8, noise, 100))
-    st = Station(sim, medium, phy, 1, ScriptedRng([3]))
+    st = Station(medium, 1, ScriptedRng([3]))
     st.on_copy_done = collector(done)
     st.enqueue(Frame(DATA, 1, 0, 8000, seq_no=1))
     sim.run_until(150)
@@ -364,8 +364,8 @@ def test_difs_ending_as_the_medium_turns_busy_is_cancelled():
 
 def test_attempt_due_as_the_medium_turns_busy_still_fires():
     sim, phy, medium, ap = make_cell()
-    st1 = Station(sim, medium, phy, 1, ScriptedRng([1]))
-    st2 = Station(sim, medium, phy, 2, ScriptedRng([0]))
+    st1 = Station(medium, 1, ScriptedRng([1]))
+    st2 = Station(medium, 2, ScriptedRng([0]))
     st1.enqueue(Frame(DATA, 1, 0, 8000))  # DIFS to 50, one slot: attempt due at 70
     # st2's DIFS, 20..70, was scheduled before st1's attempt, so at t=70 st2's
     # RTS turns the medium busy first; st1's attempt at that instant still fires

@@ -4,14 +4,17 @@ import io
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_fingerprint import LYING_RUN, TRACED_RUN
 
-from roqsim.config import config_from_dict
+from roqsim.config import ABSOLUTE, DEFENSES, STREAK, config_from_dict
 from roqsim.defense import compute_cb
 from roqsim.harness import resolve_thresholds
 from roqsim.kernel import Simulator, to_us
-from roqsim.mac import DATA, OUT_BLOCKED_DROP, RTS, Medium
+from roqsim.mac import ACK, CTS, DATA, OUT_BLOCKED_DROP, RTS, Medium, PhyParams
 from roqsim.runner import SimulationRun, run_simulation
+from roqsim.traffic import TCP_ACK_BITS
 
 # explicit detection thresholds so these tests skip the calibration run
 TH = {"rc_th": 45.0, "se_th_s": 0.05, "re_th": 3.0}
@@ -256,3 +259,86 @@ def test_every_event_callback_is_defined_in_roqsim(monkeypatch):
     }
     outside = sorted(pair for pair in seen if not (pair[1] or "").startswith("roqsim."))
     assert outside == []
+
+
+@st.composite
+def short_configs(draw):
+    """Valid configs of at most 3 s and 6 stations: any defense, attack and PHY."""
+    duration_ms = draw(st.integers(100, 3000))
+    legit = draw(st.integers(1, 6))
+    period_ms = draw(st.sampled_from([0, 100, 400, 1200]))
+    burst_ms = draw(st.integers(0, max(period_ms - 1, 0)))
+    cw_min = draw(st.sampled_from([7, 15, 31]))
+    return {
+        "duration_s": duration_ms / 1000,
+        "warmup_s": draw(st.integers(0, duration_ms - 1)) / 1000,
+        "seed": draw(st.integers(0, 1000)),
+        "defense": draw(st.sampled_from(DEFENSES)),
+        "phy": {
+            "rate_bps": draw(st.sampled_from([1_000_000, 2_000_000, 11_000_000])),
+            "cw_min": cw_min,
+            "cw_max": draw(st.sampled_from([cw_min, 1023])),
+            "retry_limit": draw(st.integers(0, 7)),
+            "queue_lifetime_s": draw(st.sampled_from([0.05, 0.5])),
+        },
+        "legit": {
+            "count": legit,
+            "packet_bits": draw(st.sampled_from([800, 8000])),
+            "rwnd": draw(st.integers(1, 32)),
+            "app_rate_pps": draw(st.integers(0, 60)),
+        },
+        "attack": {
+            "count": draw(st.integers(0, 6 - legit)),
+            "period_s": period_ms / 1000,
+            "burst_s": burst_ms / 1000,
+            # a packet spacing no longer than the period, as validate requires
+            "rate_pps": draw(st.integers(-(-1000 // period_ms) if period_ms else 0, 1000)),
+            "packet_bits": draw(st.sampled_from([800, 8000])),
+            "jitter_s": draw(st.integers(0, (period_ms - burst_ms) // 2)) / 1000,
+            "stagger": draw(st.booleans()),
+            "cw": draw(st.integers(1, 31)),
+            "queue_cap": draw(st.integers(1, 400)),
+        },
+        "mlda": {
+            "interval_s": draw(st.sampled_from([0.05, 0.1, 0.5, 1.0])),
+            "escalation": draw(st.sampled_from([STREAK, ABSOLUTE])),
+            "lying_attacker": draw(st.booleans()),
+            "rc_th": draw(st.floats(0, 60)),
+            "se_th_s": draw(st.floats(0, 0.5)),
+            "re_th": draw(st.floats(0, 6)),
+        },
+        "shrew": {
+            "window_bins": draw(st.sampled_from([2, 8, 32, 64])),
+            "ratio_threshold": draw(st.floats(0, 0.99)),
+        },
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=short_configs())
+def test_any_short_run_balances_and_its_clean_frames_never_overlap(data):
+    config = config_from_dict(data)
+    trace = io.StringIO()
+    run = SimulationRun(config, trace=trace)
+    run.execute()  # audits the conservation of every flow's bits
+    # a clean frame was on air for (end - airtime, end]; two frames that
+    # overlapped would have corrupted each other, and neither is traced
+    phy = PhyParams(config.phy)
+    payload_bits = {config.ap_node: TCP_ACK_BITS}
+    payload_bits.update(dict.fromkeys(config.legit_nodes(), config.legit.packet_bits))
+    payload_bits.update(dict.fromkeys(config.attacker_nodes(), config.attack.packet_bits))
+    control_us = {RTS: phy.rts_us, CTS: phy.cts_us, ACK: phy.ack_us}
+    last_end = 0
+    for line in trace.getvalue().splitlines():
+        stamp, _, kind, detail = line.split("\t")
+        if kind != "frame":
+            continue
+        frame_kind, src = detail.split()[:2]
+        seconds, micros = stamp.split(".")
+        end = int(seconds) * 1_000_000 + int(micros)
+        if frame_kind == DATA:
+            air = phy.data_us(payload_bits[int(src[len("src="):])])
+        else:
+            air = control_us[frame_kind]
+        assert end - air >= last_end, line
+        last_end = end

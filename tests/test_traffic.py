@@ -116,8 +116,8 @@ def test_timeout_collapses_window_and_doubles_rto():
 
 def test_source_fills_window_and_arms_timer():
     sim = Simulator(seed=0)
-    st = FakeStation()
-    src = TcpSource(sim, st, 0, GREEDY)
+    st = FakeStation(sim=sim)
+    src = TcpSource(st, 0, GREEDY)
     src.flow.cwnd = 4
     src.start()
     assert [f.seq_no for f in st.sent] == [1, 2, 3, 4]
@@ -127,8 +127,8 @@ def test_source_fills_window_and_arms_timer():
 
 def test_ack_advances_window_and_samples_rtt():
     sim = Simulator(seed=0)
-    st = FakeStation()
-    src = TcpSource(sim, st, 0, GREEDY)
+    st = FakeStation(sim=sim)
+    src = TcpSource(st, 0, GREEDY)
     src.start()  # cwnd=1: seq 1 in flight
     sim.run_until(200_000)
     src.on_transport_ack(ack(1), sim.now_us)
@@ -143,8 +143,8 @@ def test_ack_advances_window_and_samples_rtt():
 
 def test_karns_rule_skips_retransmitted_sample():
     sim = Simulator(seed=0)
-    st = FakeStation()
-    src = TcpSource(sim, st, 0, GREEDY)
+    st = FakeStation(sim=sim)
+    src = TcpSource(st, 0, GREEDY)
     src.start()
     sim.run_until(1_000_000)  # RTO fires: seq 1 goes out again
     assert src.timeouts == 1
@@ -156,8 +156,8 @@ def test_karns_rule_skips_retransmitted_sample():
 
 def test_timeout_then_go_back_n_repair():
     sim = Simulator(seed=0)
-    st = FakeStation()
-    src = TcpSource(sim, st, 0, GREEDY)
+    st = FakeStation(sim=sim)
+    src = TcpSource(st, 0, GREEDY)
     src.flow.cwnd = 4
     src.start()  # 1..4 in flight
     sim.run_until(1_000_000)  # timeout: cwnd back to 1, seq 1 resent
@@ -199,8 +199,8 @@ def test_rto_timer_runs_exactly_while_data_is_outstanding(monkeypatch):
 
 def test_app_pacing_limits_send_rate():
     sim = Simulator(seed=0)
-    st = FakeStation()
-    src = TcpSource(sim, st, 0, LegitSection(app_rate_pps=15))
+    st = FakeStation(sim=sim)
+    src = TcpSource(st, 0, LegitSection(app_rate_pps=15))
     src.flow.cwnd = 32  # window never binds; the application does
     src.flow.rto = 9999.0  # keep the unanswered-ACK timer out of the way
     src.start()
@@ -213,8 +213,8 @@ def test_app_pacing_limits_send_rate():
 
 def test_greedy_source_window_bound():
     sim = Simulator(seed=0)
-    st = FakeStation()
-    src = TcpSource(sim, st, 0, LegitSection(rwnd=3, app_rate_pps=0))
+    st = FakeStation(sim=sim)
+    src = TcpSource(st, 0, LegitSection(rwnd=3, app_rate_pps=0))
     src.flow.cwnd = 10
     src.start()
     assert len(st.sent) == 3  # min(cwnd, rwnd)
@@ -224,9 +224,8 @@ def test_greedy_source_window_bound():
 
 
 def test_sink_cumulative_ack_and_coalescing():
-    sim = Simulator(seed=0)
     ap = FakeStation(node_id=0)
-    sink = TcpSink(sim, ap, src_node=1)
+    sink = TcpSink(ap, src_node=1)
 
     def data(seq):
         from roqsim.mac import DATA, Frame
@@ -256,7 +255,7 @@ SHORT_BURSTS = AttackSection(period_s=1.0, burst_s=0.1, rate_pps=50)
 def test_pulsed_source_arrival_times():
     sim = Simulator(seed=0)
     st = FakeStation(sim=sim)
-    src = PulsedSource(sim, st, 0, SHORT_BURSTS, 0)
+    src = PulsedSource(st, 0, SHORT_BURSTS, 0)
     src.start()
     sim.run_until(2_500_000)
     times = [f.enqueued_us for f in st.sent]
@@ -269,7 +268,7 @@ def test_pulsed_source_arrival_times():
 def test_pulsed_source_phase_shift():
     sim = Simulator(seed=0)
     st = FakeStation(sim=sim)
-    src = PulsedSource(sim, st, 0, SHORT_BURSTS, 400_000)
+    src = PulsedSource(st, 0, SHORT_BURSTS, 400_000)
     src.start()
     sim.run_until(1_000_000)
     assert st.sent[0].enqueued_us == 400_000
@@ -287,7 +286,7 @@ def test_pulsed_source_disabled_when_period_zero():
 def test_pulsed_source_stops_once_station_is_disabled():
     sim = Simulator(seed=0)
     st = FakeStation(sim=sim)
-    src = PulsedSource(sim, st, 0, SHORT_BURSTS, 0)
+    src = PulsedSource(st, 0, SHORT_BURSTS, 0)
     src.start()
     sim.run_until(1_030_000)  # first burst and two arrivals of the second
     st.disabled = True
@@ -302,7 +301,7 @@ def test_jitter_before_time_zero_skips_only_the_early_arrivals(seed, offset_us, 
     assert RandomSource(seed).uniform_int(-100_000, 100_000) == offset_us
     sim = Simulator(seed=0)
     st = FakeStation(sim=sim, rng=RandomSource(seed))
-    src = PulsedSource(sim, st, 0, AttackSection(jitter_s=0.1), 0)
+    src = PulsedSource(st, 0, AttackSection(jitter_s=0.1), 0)
     src.start()
     sim.run_until(1_099_999)  # the second burst starts at 1.1 s at the earliest
     # 120 arrivals 2500 us apart from the jittered start; those before t = 0 are skipped
@@ -331,7 +330,7 @@ def test_jitter_up_to_the_config_limit_loses_no_arrival(jitter_s, offered):
     # its first arrivals are skipped
     sim = Simulator(seed=0)
     st = FakeStation(sim=sim, rng=ExtremeJitter())
-    src = PulsedSource(sim, st, 0, AttackSection(jitter_s=jitter_s), 0)
+    src = PulsedSource(st, 0, AttackSection(jitter_s=jitter_s), 0)
     src.start()
     sim.run_until(12_000_000)  # periods 0-9; period 10 starts after 12.4 s
     assert src.arrivals == len(st.sent) == offered
