@@ -40,54 +40,64 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+# a field's own lower bound, checked right after its type (_check_types)
+def _positive(default):
+    return field(default=default, metadata={"ok": lambda v: v > 0, "rule": "must be positive"})
+
+
+def _at_least(low, default):
+    return field(default=default, metadata={"ok": lambda v: v >= low,
+                                            "rule": "must be >= %g" % low})
+
+
 @dataclass
 class PhySection:
-    slot_us: int = 20
-    sifs_us: int = 10
-    difs_us: int = 50
-    rate_bps: int = 2_000_000
-    cw_min: int = 31
+    slot_us: int = _positive(20)
+    sifs_us: int = _positive(10)
+    difs_us: int = _positive(50)
+    rate_bps: int = _positive(2_000_000)
+    cw_min: int = _at_least(1, 31)
     cw_max: int = 1023
-    retry_limit: int = 7
-    queue_lifetime_s: float = 0.5
+    retry_limit: int = _at_least(0, 7)
+    queue_lifetime_s: float = _positive(0.5)
 
 
 @dataclass
 class LegitSection:
-    count: int = 2
-    packet_bits: int = 8000
-    rwnd: int = 32
-    app_rate_pps: int = 15  # 0 = greedy bulk transfer
+    count: int = _at_least(1, 2)
+    packet_bits: int = _at_least(1, 8000)
+    rwnd: int = _at_least(1, 32)
+    app_rate_pps: int = _at_least(0, 15)  # 0 = greedy bulk transfer
 
 
 @dataclass
 class AttackSection:
-    count: int = 2
-    period_s: float = 1.2
-    burst_s: float = 0.3
-    rate_pps: int = 400
-    packet_bits: int = 8000
-    jitter_s: float = 0.0
+    count: int = _at_least(0, 2)
+    period_s: float = _at_least(0, 1.2)  # 0 disables the attack
+    burst_s: float = _at_least(0, 0.3)
+    rate_pps: int = _at_least(0, 400)
+    packet_bits: int = _at_least(1, 8000)
+    jitter_s: float = _at_least(0, 0.0)
     stagger: bool = False  # True spreads burst phases evenly over the period
-    cw: int = 7  # greedy contention window, never doubled
-    queue_cap: int = 400
+    cw: int = _at_least(1, 7)  # greedy contention window, never doubled
+    queue_cap: int = _at_least(1, 400)
 
 
 @dataclass
 class MldaSection:
-    interval_s: float = 1.0
+    interval_s: float = _at_least(MIN_STEP_S, 1.0)
     escalation: str = STREAK
     lying_attacker: bool = False
     # per-interval thresholds, a bit set only on strict excess; set all
     # three or none, None meaning calibrate from an attack-free run first
-    rc_th: Optional[float] = None  # RTS/CTS frames
-    se_th_s: Optional[float] = None  # seconds of frozen backoff
-    re_th: Optional[float] = None  # retransmissions
+    rc_th: Optional[float] = _at_least(0, None)  # RTS/CTS frames
+    se_th_s: Optional[float] = _at_least(0, None)  # seconds of frozen backoff
+    re_th: Optional[float] = _at_least(0, None)  # retransmissions
 
 
 @dataclass
 class ShrewSection:
-    bin_s: float = 0.05
+    bin_s: float = _at_least(MIN_STEP_S, 0.05)
     window_bins: int = 1024
     cutoff_hz: float = 5.0
     ratio_threshold: float = 0.7
@@ -102,10 +112,10 @@ class SweepSection:
 
 @dataclass
 class RunConfig:
-    duration_s: float = 100.0
+    duration_s: float = _positive(100.0)
     seed: int = 1
     defense: str = DEFENSE_NONE
-    warmup_s: float = 10.0
+    warmup_s: float = _at_least(0, 10.0)
     phy: PhySection = field(default_factory=PhySection)
     legit: LegitSection = field(default_factory=LegitSection)
     attack: AttackSection = field(default_factory=AttackSection)
@@ -115,20 +125,13 @@ class RunConfig:
 
     def validate(self):
         _check_types(self)
-        for name in _POSITIVE:
-            value = _field(self, name)
-            if value <= 0:
-                raise ConfigError("%s must be positive, got %r" % (name, value))
-        for name, low in _MINIMUM:
-            value = _field(self, name)
-            if value is not None and value < low:
-                raise ConfigError("%s must be >= %g, got %r" % (name, low, value))
         stations = self.legit.count + self.attack.count
         if stations > MAX_STATIONS:
             raise ConfigError("legit.count + attack.count must be at most %d (802.11 "
                               "association IDs), got %d" % (MAX_STATIONS, stations))
-        for name in ("legit.app_rate_pps", "attack.rate_pps"):
-            if _field(self, name) > MAX_RATE_PPS:
+        for name, rate in (("legit.app_rate_pps", self.legit.app_rate_pps),
+                           ("attack.rate_pps", self.attack.rate_pps)):
+            if rate > MAX_RATE_PPS:
                 raise ConfigError("%s must be at most %d (one packet per microsecond)"
                                   % (name, MAX_RATE_PPS))
         # in whole microseconds, as the run counts them: a window that
@@ -156,8 +159,9 @@ class RunConfig:
                               "attack.rate_pps, got %r" % attack.period_s)
         if self.mlda.escalation not in (STREAK, ABSOLUTE):
             raise ConfigError("mlda.escalation must be %r or %r" % (STREAK, ABSOLUTE))
-        unset = [name for name in _THRESHOLDS if _field(self, name) is None]
-        if 0 < len(unset) < len(_THRESHOLDS):
+        unset = ["mlda." + key for key in ("rc_th", "se_th_s", "re_th")
+                 if getattr(self.mlda, key) is None]
+        if 0 < len(unset) < 3:
             raise ConfigError("%s must be set: the mlda thresholds are set all together "
                               "or not at all" % " and ".join(unset))
         n = self.shrew.window_bins
@@ -198,49 +202,6 @@ class RunConfig:
         return list(range(first, first + self.attack.count))
 
 
-# range checks run after the type checks, so every value compares cleanly
-_POSITIVE = (
-    "duration_s",
-    "phy.slot_us",
-    "phy.sifs_us",
-    "phy.difs_us",
-    "phy.rate_bps",
-    "phy.queue_lifetime_s",
-)
-
-_MINIMUM = (
-    ("warmup_s", 0),
-    ("phy.cw_min", 1),
-    ("phy.retry_limit", 0),
-    ("legit.count", 1),
-    ("legit.packet_bits", 1),
-    ("legit.rwnd", 1),
-    ("legit.app_rate_pps", 0),  # 0 = greedy
-    ("attack.count", 0),
-    ("attack.period_s", 0),  # 0 disables the attack
-    ("attack.burst_s", 0),
-    ("attack.rate_pps", 0),
-    ("attack.packet_bits", 1),
-    ("attack.jitter_s", 0),
-    ("attack.cw", 1),
-    ("attack.queue_cap", 1),
-    ("mlda.interval_s", MIN_STEP_S),
-    ("mlda.rc_th", 0),  # thresholds: None means calibrate
-    ("mlda.se_th_s", 0),
-    ("mlda.re_th", 0),
-    ("shrew.bin_s", MIN_STEP_S),
-)
-
-_THRESHOLDS = ("mlda.rc_th", "mlda.se_th_s", "mlda.re_th")
-
-
-def _field(config, dotted):
-    value = config
-    for part in dotted.split("."):
-        value = getattr(value, part)
-    return value
-
-
 # JSON true is not a count, NaN passes every range check, and integer rates
 # and sizes keep packet spacings, and so every event time, integral
 _KINDS = {
@@ -268,6 +229,8 @@ def _check_types(obj, prefix=""):
     """Check every field against its annotated type, sections recursively.
 
     A field named *_s is a span in seconds and must also fit in microseconds.
+    A field declared with a lower bound is checked against it right after its
+    type, so the value compares cleanly; an unset (None) value has no bound.
     """
     for f in fields(obj):
         name = prefix + f.name
@@ -287,6 +250,8 @@ def _check_types(obj, prefix=""):
                 _check_value(name, get_args(f.type)[0], value, seconds)
         else:
             _check_value(name, f.type, value, seconds)
+        if "ok" in f.metadata and value is not None and not f.metadata["ok"](value):
+            raise ConfigError("%s %s, got %r" % (name, f.metadata["rule"], value))
 
 
 def _build(cls, data, where):

@@ -1,7 +1,11 @@
 """Configuration loading, validation, and node layout."""
 
+import contextlib
+import io
 import json
+import re
 from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +22,7 @@ from roqsim.config import (
     config_from_dict,
     load_config,
 )
+from roqsim.cli import main
 from roqsim.mac import PhyParams
 from roqsim.runner import SimulationRun
 
@@ -61,34 +66,96 @@ def test_attack_enabled_logic():
     assert not config_from_dict({"attack": {"burst_s": 4e-7}}).attack_enabled()
 
 
+# each case breaks one rule and names the message it expects; the other
+# fields are set so that no earlier rule refuses first
+_INVALID = [
+    ({"duration_s": 0}, "duration_s must be positive, got 0"),
+    ({"duration_s": 10.0, "warmup_s": 10.0}, "warmup_s must be in [0, duration_s)"),
+    ({"warmup_s": -1.0}, "warmup_s must be >= 0, got -1.0"),
+    ({"defense": "firewall"}, "defense must be one of ('none', 'mlda', 'shrew')"),
+    ({"legit": {"count": 0}}, "legit.count must be >= 1, got 0"),
+    ({"legit": {"app_rate_pps": -5}}, "legit.app_rate_pps must be >= 0, got -5"),
+    ({"attack": {"count": -1}}, "attack.count must be >= 0, got -1"),
+    ({"attack": {"period_s": -0.5}}, "attack.period_s must be >= 0, got -0.5"),
+    ({"attack": {"period_s": 1.0, "burst_s": 1.0}},
+     "attack.burst_s must be shorter than attack.period_s"),
+    ({"attack": {"cw": 0}}, "attack.cw must be >= 1, got 0"),
+    ({"mlda": {"interval_s": 0}}, "mlda.interval_s must be >= 1e-06, got 0"),
+    ({"mlda": {"escalation": "sometimes"}}, "mlda.escalation must be 'streak' or 'absolute'"),
+    ({"shrew": {"window_bins": 1000}}, "shrew.window_bins must be a power of two"),
+    ({"shrew": {"window_bins": 2 * MAX_WINDOW_BINS}},
+     "shrew.window_bins must be at most 65536, got 131072"),
+    ({"shrew": {"bin_s": 0.0}}, "shrew.bin_s must be >= 1e-06, got 0.0"),
+    # above Nyquist for 50 ms bins
+    ({"shrew": {"cutoff_hz": 11.0}}, "shrew.cutoff_hz must be in (0, 10]"),
+    ({"phy": {"cw_min": 64, "cw_max": 31}}, "phy.cw_max must be >= phy.cw_min"),
+    ({"legit": {"count": MAX_STATIONS - 6}, "attack": {"count": 7}},
+     "legit.count + attack.count must be at most 2007 (802.11 association IDs), got 2008"),
+    # both round to 1,000,000 us: the measured window would be empty
+    ({"duration_s": 1.0000002, "warmup_s": 1.0000001}, "warmup_s must be in [0, duration_s)"),
+    ({"phy": {"sifs_us": 0}}, "phy.sifs_us must be positive, got 0"),
+    ({"phy": {"difs_us": 0}}, "phy.difs_us must be positive, got 0"),
+    ({"phy": {"rate_bps": 0}}, "phy.rate_bps must be positive, got 0"),
+    ({"attack": {"burst_s": -1}}, "attack.burst_s must be >= 0, got -1"),
+    ({"attack": {"rate_pps": -1}}, "attack.rate_pps must be >= 0, got -1"),
+    ({"mlda": {"rc_th": 1.0, "se_th_s": -1, "re_th": 1.0}}, "mlda.se_th_s must be >= 0, got -1"),
+    ({"mlda": {"rc_th": 1.0, "se_th_s": 1.0, "re_th": -1}}, "mlda.re_th must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", _INVALID,
+                         ids=["overrides%d" % i for i in range(len(_INVALID))])
+def test_invalid_configs_rejected(overrides, message):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(overrides)
+    assert str(info.value).startswith(message)
+
+
+def test_several_faults_name_the_first_field():
+    # field by field in declaration order, each field's type before its bound
+    with pytest.raises(ConfigError, match=r"^duration_s must be positive, got 0$"):
+        config_from_dict({"duration_s": 0, "seed": "x", "phy": {"slot_us": 0}})
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "section, key, value",
     [
-        {"duration_s": 0},
-        {"duration_s": 10.0, "warmup_s": 10.0},
-        {"warmup_s": -1.0},
-        {"defense": "firewall"},
-        {"legit": {"count": 0}},
-        {"legit": {"app_rate_pps": -5}},
-        {"attack": {"count": -1}},
-        {"attack": {"period_s": -0.5}},
-        {"attack": {"period_s": 1.0, "burst_s": 1.0}},
-        {"attack": {"cw": 0}},
-        {"mlda": {"interval_s": 0}},
-        {"mlda": {"escalation": "sometimes"}},
-        {"shrew": {"window_bins": 1000}},
-        {"shrew": {"window_bins": 2 * MAX_WINDOW_BINS}},
-        {"shrew": {"bin_s": 0.0}},
-        {"shrew": {"cutoff_hz": 11.0}},  # above Nyquist for 50 ms bins
-        {"phy": {"cw_min": 64, "cw_max": 31}},
-        {"legit": {"count": MAX_STATIONS - 6}, "attack": {"count": 7}},
-        # both round to 1,000,000 us: the measured window would be empty
-        {"duration_s": 1.0000002, "warmup_s": 1.0000001},
+        (None, "warmup_s", 0),
+        ("phy", "cw_min", 1),
+        ("phy", "retry_limit", 0),
+        ("legit", "count", 1),
+        ("legit", "packet_bits", 1),
+        ("legit", "rwnd", 1),
+        ("legit", "app_rate_pps", 0),
+        ("attack", "count", 0),
+        ("attack", "period_s", 0),
+        ("attack", "burst_s", 0),
+        ("attack", "rate_pps", 0),
+        ("attack", "packet_bits", 1),
+        ("attack", "jitter_s", 0),
+        ("attack", "cw", 1),
+        ("attack", "queue_cap", 1),
+        ("mlda", "interval_s", 1e-6),
+        ("mlda", "rc_th", 0),
+        ("mlda", "se_th_s", 0),
+        ("mlda", "re_th", 0),
+        ("shrew", "bin_s", 1e-6),
     ],
 )
-def test_invalid_configs_rejected(overrides):
-    with pytest.raises(ConfigError):
-        config_from_dict(overrides)
+def test_closed_lower_bound_is_allowed(section, key, value):
+    # the thresholds are set all together or not at all
+    data = {"mlda": {"rc_th": 1.0, "se_th_s": 1.0, "re_th": 1.0}}
+    (data.setdefault(section, {}) if section else data)[key] = value
+    cfg = config_from_dict(data)
+    assert getattr(getattr(cfg, section) if section else cfg, key) == value
+
+
+def test_readme_defaults_match_the_code():
+    # the JSONC block under README "Configuration", its // comments stripped
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Configuration\n.*?```jsonc\n(.*?)```", text, re.S).group(1)
+    shown = json.loads(re.sub(r"//.*", "", block))
+    assert shown == json.loads(json.dumps(asdict(RunConfig())))
 
 
 @pytest.mark.parametrize(
@@ -173,7 +240,7 @@ _JSON_VALUES = st.one_of(
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(path=st.sampled_from(list(_paths(RunConfig))), value=_JSON_VALUES)
-def test_any_json_value_in_any_field_is_refused_or_builds(path, value):
+def test_any_json_value_in_any_field_is_refused_or_builds(tmp_path_factory, path, value):
     # from the defaults, thresholds set so that defense "mlda" builds too
     data = {"mlda": {"rc_th": 45.0, "se_th_s": 0.05, "re_th": 3.0}}
     section = data
@@ -182,7 +249,14 @@ def test_any_json_value_in_any_field_is_refused_or_builds(path, value):
     section[path[-1]] = value
     try:
         cfg = config_from_dict(data)
-    except ConfigError:
+    except ConfigError as exc:
+        # the command line refuses the same file with exit 1 and the same message
+        config_path = tmp_path_factory.getbasetemp() / "refused.json"
+        config_path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["run", "--config", str(config_path)]) == 1
+        assert err.getvalue() == "config error: %s\n" % exc
         return
     run = SimulationRun(cfg)
     assert run.sim.dispatched == 0 and run.sim.now_us == 0
