@@ -28,7 +28,7 @@ retransmissions.
 """
 
 from collections import deque
-from dataclasses import astuple
+from dataclasses import astuple, dataclass, field
 
 from .config import PhySection
 from .kernel import to_us
@@ -88,52 +88,31 @@ class PhyParams(PhySection):
         return tail
 
 
+@dataclass(slots=True, eq=False)
 class Frame:
     """One physical frame.  DATA frames double as the queued packet copies."""
 
-    __slots__ = (
-        "kind",
-        "src",
-        "dst",
-        "payload_bits",
-        "cb",
-        "duration_us",
-        "seq_no",
-        "retransmitted",
-        "enqueued_us",
-    )
-
-    def __init__(self, kind, src, dst, payload_bits=0, cb="000", duration_us=0, seq_no=0):
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.payload_bits = payload_bits
-        self.cb = cb
-        self.duration_us = duration_us
-        self.seq_no = seq_no
-        self.retransmitted = False
-        self.enqueued_us = 0
+    kind: str
+    src: int
+    dst: int
+    payload_bits: int = 0
+    cb: str = "000"
+    duration_us: int = 0
+    seq_no: int = 0
+    retransmitted: bool = field(default=False, init=False)
+    enqueued_us: int = field(default=0, init=False)
 
     def __repr__(self):
         return "<%s %d->%d seq=%d cb=%s>" % (self.kind, self.src, self.dst, self.seq_no, self.cb)
 
 
+@dataclass(slots=True, eq=False)
 class IntervalCounters:
     """Per-station counters accumulated within one monitoring interval."""
 
-    __slots__ = ("rts_cts", "busy_stop_us", "retrans")
-
-    def __init__(self, rts_cts=0, busy_stop_us=0, retrans=0):
-        self.rts_cts = rts_cts
-        self.busy_stop_us = busy_stop_us
-        self.retrans = retrans
-
-    def __repr__(self):
-        return "IntervalCounters(rts_cts=%d, busy_stop_us=%d, retrans=%d)" % (
-            self.rts_cts,
-            self.busy_stop_us,
-            self.retrans,
-        )
+    rts_cts: int = 0
+    busy_stop_us: int = 0
+    retrans: int = 0
 
 
 def _noop(*_args):

@@ -6,11 +6,12 @@ the windowed ledger (events at or after the warm-up cutoff) backs metrics.
 Goodput counts each sequence number once, at its first clean reception.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .mac import OUT_DELIVERED
 
 
+@dataclass(slots=True, eq=False)
 class FlowStats:
     """Copy-level sender ledger plus receiver-side unique goodput.
 
@@ -19,34 +20,18 @@ class FlowStats:
     windowed ledger when it falls at or after warmup_us.
     """
 
-    __slots__ = (
-        "is_attack",
-        "warmup_us",
-        "sent_pkts",
-        "sent_bits",
-        "delivered_pkts",
-        "delivered_bits",
-        "dropped_pkts",
-        "dropped_bits",
-        "drop_causes",
-        "w_sent_pkts",
-        "w_dropped_pkts",
-        "w_goodput_bits",
-    )
-
-    def __init__(self, is_attack, warmup_us):
-        self.is_attack = is_attack
-        self.warmup_us = warmup_us
-        self.sent_pkts = 0
-        self.sent_bits = 0
-        self.delivered_pkts = 0
-        self.delivered_bits = 0
-        self.dropped_pkts = 0
-        self.dropped_bits = 0
-        self.drop_causes = {}
-        self.w_sent_pkts = 0
-        self.w_dropped_pkts = 0
-        self.w_goodput_bits = 0
+    is_attack: bool
+    warmup_us: int
+    sent_pkts: int = field(default=0, init=False)
+    sent_bits: int = field(default=0, init=False)
+    delivered_pkts: int = field(default=0, init=False)
+    delivered_bits: int = field(default=0, init=False)
+    dropped_pkts: int = field(default=0, init=False)
+    dropped_bits: int = field(default=0, init=False)
+    drop_causes: dict = field(default_factory=dict, init=False)
+    w_sent_pkts: int = field(default=0, init=False)
+    w_dropped_pkts: int = field(default=0, init=False)
+    w_goodput_bits: int = field(default=0, init=False)
 
     def on_sent(self, frame, now):
         bits = frame.payload_bits

@@ -6,7 +6,7 @@ mean-removed and transformed; the one-sided energy spectrum folds the
 negative frequencies in, so the energies sum to N times the summed squares of
 the (mean-removed) samples.
 
-The transform is an iterative radix-2 FFT over plain lists (Cooley and
+The transform is a recursive radix-2 FFT over plain lists (Cooley and
 Tukey, 1965), so the package needs nothing beyond the standard library.
 """
 
@@ -18,31 +18,22 @@ LEGIT = "legit"
 ATTACK = "attack"
 
 
-def _fft(x):
+def _fft(x, w=None):
     """Discrete Fourier transform of a sequence whose length is a power of two.
 
-    Decimation in time: the input is taken in bit-reversed order, then each
-    stage merges pairs of transforms of width `size` into one of width
-    2 * size with the twiddles exp(-2 pi i k / (2 * size)).
+    Decimation in time: the transforms of the even and the odd samples merge
+    with the twiddles w[k] = exp(-2 pi i k / n).  Each half-length transform
+    takes every other twiddle, so one table serves every level.
     """
     n = len(x)
-    order = [0]
-    while len(order) < n:
-        order = [2 * i for i in order] + [2 * i + 1 for i in order]
-    a = [x[i] for i in order]
-    w = [cmath.exp(-2j * math.pi * k / n) for k in range(n // 2)]
-    size = 1
-    while size < n:
-        twiddles = w[::n // (2 * size)]
-        merged = []
-        for start in range(0, n, 2 * size):
-            even = a[start:start + size]
-            odd = [t * v for t, v in zip(twiddles, a[start + size:start + 2 * size])]
-            merged += [e + o for e, o in zip(even, odd)]
-            merged += [e - o for e, o in zip(even, odd)]
-        a = merged
-        size *= 2
-    return a
+    if n == 1:
+        return [x[0]]
+    if w is None:
+        w = [cmath.exp(-2j * math.pi * k / n) for k in range(n // 2)]
+    half = w[::2]
+    even = _fft(x[0::2], half)
+    odd = [t * v for t, v in zip(w, _fft(x[1::2], half))]
+    return [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
 
 
 def power_spectrum(counts):

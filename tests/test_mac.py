@@ -6,6 +6,7 @@ DATA(8000 payload + 224 header) 4112 us, so a full four-way exchange takes
 80 + 10 + 56 + 10 + 4112 + 10 + 56 = 4334 us after the RTS starts.
 """
 
+import inspect
 import io
 
 import pytest
@@ -20,6 +21,7 @@ from roqsim.mac import (
     OUT_OVERFLOW_DROP,
     OUT_RETRY_DROP,
     Frame,
+    IntervalCounters,
     Medium,
     PhyParams,
     Station,
@@ -403,3 +405,42 @@ def test_contention_timers_fire_only_while_contending():
     result = run.execute()
     assert len(result.blocked) == 8  # all eight attackers are disabled mid-run
     assert seen == {k: {"contend"} for k in kinds}
+
+
+REQUIRED = inspect.Parameter.empty
+POS = inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def constructor_params(cls):
+    """(name, kind, default) of each constructor parameter, annotations aside."""
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def test_frame_and_counter_constructors_keep_their_parameters():
+    assert constructor_params(Frame) == [
+        ("kind", POS, REQUIRED), ("src", POS, REQUIRED), ("dst", POS, REQUIRED),
+        ("payload_bits", POS, 0), ("cb", POS, "000"), ("duration_us", POS, 0),
+        ("seq_no", POS, 0),
+    ]
+    assert constructor_params(IntervalCounters) == [
+        ("rts_cts", POS, 0), ("busy_stop_us", POS, 0), ("retrans", POS, 0),
+    ]
+
+
+def test_a_new_frame_is_unsent_and_equal_only_to_itself():
+    a = Frame(DATA, 1, 0, 8000)
+    b = Frame(DATA, 1, 0, 8000)
+    assert a.retransmitted is False and a.enqueued_us == 0
+    # the sink finds a queued transport ACK by identity, not by its fields
+    assert a == a and a != b
+
+
+def test_interval_counters_repr():
+    assert repr(IntervalCounters(1, 2, 3)) == (
+        "IntervalCounters(rts_cts=1, busy_stop_us=2, retrans=3)"
+    )
+
+
+def test_frames_and_counters_keep_slots():
+    for obj in (Frame(DATA, 1, 0), IntervalCounters()):
+        assert not hasattr(obj, "__dict__")

@@ -1,5 +1,7 @@
 """Flow ledgers, class aggregation, and the conservation audit."""
 
+import inspect
+
 import pytest
 
 from roqsim.mac import DATA, OUT_DELIVERED, OUT_LIFETIME_DROP, Frame
@@ -80,3 +82,20 @@ def test_conservation_audit_detects_leak():
     fs.on_sent(data(src=3), 0)
     with pytest.raises(AssertionError, match="node 3"):
         audit_conservation({3: fs}, {3: (0, 0)})  # one copy unaccounted for
+
+
+def test_flow_stats_constructor_keeps_its_parameters():
+    params = [(p.name, p.kind, p.default)
+              for p in inspect.signature(FlowStats).parameters.values()]
+    pos, required = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+    assert params == [("is_attack", pos, required), ("warmup_us", pos, required)]
+
+
+def test_a_new_flow_ledger_starts_empty_with_its_own_drop_causes():
+    fs, other = FlowStats(True, 5), FlowStats(True, 5)
+    assert (fs.is_attack, fs.warmup_us) == (True, 5)
+    counters = ("sent_pkts", "sent_bits", "delivered_pkts", "delivered_bits", "dropped_pkts",
+                "dropped_bits", "w_sent_pkts", "w_dropped_pkts", "w_goodput_bits")
+    assert [getattr(fs, name) for name in counters] == [0] * len(counters)
+    assert fs.drop_causes == {} and fs.drop_causes is not other.drop_causes
+    assert not hasattr(fs, "__dict__")

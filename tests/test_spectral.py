@@ -12,6 +12,7 @@ from roqsim.spectral import (
     ATTACK,
     LEGIT,
     ArrivalRecorder,
+    _fft,
     classify_flow,
     low_freq_ratio,
     power_spectrum,
@@ -63,6 +64,44 @@ def test_matches_numpy_fft(n):
         assert len(energy) == len(ref) == n // 2 + 1
         # rounding error scales with the spectrum's largest bin, not with each bin
         assert np.max(np.abs(np.asarray(energy) - ref)) <= 1e-12 * ref.max()
+
+
+def iterative_fft(x):
+    """Radix-2 FFT with an explicit bit-reversal pass and a loop over stages.
+
+    The package's recursive transform must match it to the bit: both take the
+    same twiddles from one table and round the same products and sums, so the
+    spectra and their %.9g prints are pinned exactly, not only to numpy's
+    tolerance.
+    """
+    n = len(x)
+    order = [0]
+    while len(order) < n:
+        order = [2 * i for i in order] + [2 * i + 1 for i in order]
+    a = [x[i] for i in order]
+    w = [cmath.exp(-2j * math.pi * k / n) for k in range(n // 2)]
+    size = 1
+    while size < n:
+        twiddles = w[::n // (2 * size)]
+        merged = []
+        for start in range(0, n, 2 * size):
+            even = a[start:start + size]
+            odd = [t * v for t, v in zip(twiddles, a[start + size:start + 2 * size])]
+            merged += [e + o for e, o in zip(even, odd)]
+            merged += [e - o for e, o in zip(even, odd)]
+        a = merged
+        size *= 2
+    return a
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 64, 1024, 2**16])
+def test_fft_equals_the_iterative_transform_exactly(n):
+    rng = random.Random(n)
+    x = [rng.uniform(-5, 10) for _ in range(n)]
+    assert _fft(x) == iterative_fft(x)
+    counts = [float(rng.randrange(30)) for _ in range(n)]
+    mean = math.fsum(counts) / n
+    assert _fft([v - mean for v in counts]) == iterative_fft([v - mean for v in counts])
 
 
 def test_spectra_print_as_numpy_does():
