@@ -69,29 +69,27 @@ class MonitorState:
     def __init__(self, escalation=STREAK):
         self.escalation = escalation
         self.statuses = {}
-        self.interval_index = 0  # 1-based after the first processed interval
 
 
-def monitor_interval(state, bits_by_node):
+def monitor_interval(state, index, bits_by_node):
     """Process one interval of per-node congestion bits; returns its findings.
 
-    bits_by_node maps node id -> CongestionBits.  The result holds one
-    (node, cb, status) tuple, in node order, for every node that had a
-    finding (at least one bit set) or was blocked in this interval; status is
-    the node's status after the interval, BLOCKED for a block.  A node blocked
-    without a finding shows bits 000.  Blocked nodes are absorbing: their
-    bits are ignored.
+    index is the interval's number in the run, 1 for the first; bits_by_node
+    maps node id -> CongestionBits.  The result holds one (node, cb, status)
+    tuple, in node order, for every node that had a finding (at least one bit
+    set) or was blocked in this interval; status is the node's status after
+    the interval, BLOCKED for a block.  A node blocked without a finding shows
+    bits 000.  Blocked nodes are absorbing: their bits are ignored.
     Streak mode: an attacker finding increments the attacker streak, a
     suspected finding increments the suspected streak without resetting the
     attacker streak, and a normal or empty finding resets both.  Absolute
-    mode: blocks can fire only while processing interval 3 (status attacker)
-    or interval 4 (status suspected).
+    mode: blocks can fire only in interval 3 (status attacker) or interval 4
+    (status suspected).
 
     Blocking starts a new assessment epoch: every surviving node's streaks
     reset, because findings accumulated while the blocked nodes were loading
     the channel say nothing about behaviour in the relieved network.
     """
-    state.interval_index += 1
     findings = []
     blocked = False
     for node in sorted(bits_by_node):
@@ -117,8 +115,8 @@ def monitor_interval(state, bits_by_node):
                 or st.suspected_streak >= SUSPECTED_STREAK_LIMIT
             )
         else:
-            block = (state.interval_index == 3 and st.status == ATTACKER) or (
-                state.interval_index == 4 and st.status == SUSPECTED
+            block = (index == 3 and st.status == ATTACKER) or (
+                index == 4 and st.status == SUSPECTED
             )
         if block:
             st.status = BLOCKED

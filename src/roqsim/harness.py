@@ -45,17 +45,6 @@ def attack_free(config):
     return replace(config, defense=DEFENSE_NONE, attack=replace(config.attack, period_s=0.0))
 
 
-def thresholds_from_samples(mlda, rc_samples, se_samples_s, re_samples):
-    """An mlda section with thresholds folded from per-node per-interval samples."""
-    if not rc_samples:
-        raise ValueError("no calibration samples")
-    n = float(len(rc_samples))
-    rc_th = CALIBRATION_MARGIN * (sum(rc_samples) / n)
-    se_th_s = CALIBRATION_MARGIN * (sum(se_samples_s) / n)
-    re_th = max(RETRANS_FLOOR, CALIBRATION_MARGIN * (sum(re_samples) / n))
-    return replace(mlda, rc_th=rc_th, se_th_s=se_th_s, re_th=re_th)
-
-
 def calibrate_thresholds(config):
     """The config's mlda section with thresholds from attack-free counter means.
 
@@ -82,16 +71,16 @@ def calibrate_thresholds(config):
             " duration_s %g, so calibration has nothing to sample"
             % (cfg.mlda.interval_s, cfg.warmup_s, cfg.duration_s)
         )
-    result = run_simulation(cfg)
     legit = set(cfg.legit_nodes())
-    rc, se, re = [], [], []
-    for index, node, counters in result.interval_records:
-        if index < first or node not in legit:
-            continue
-        rc.append(counters.rts_cts)
-        se.append(counters.busy_stop_us / 1e6)
-        re.append(counters.retrans)
-    return thresholds_from_samples(cfg.mlda, rc, se, re)
+    samples = [counters for index, node, counters in run_simulation(cfg).interval_records
+               if index >= first and node in legit]
+    n = float(len(samples))
+    return replace(
+        cfg.mlda,
+        rc_th=CALIBRATION_MARGIN * (sum(c.rts_cts for c in samples) / n),
+        se_th_s=CALIBRATION_MARGIN * (sum(c.busy_stop_us / 1e6 for c in samples) / n),
+        re_th=max(RETRANS_FLOOR, CALIBRATION_MARGIN * (sum(c.retrans for c in samples) / n)),
+    )
 
 
 def resolve_thresholds(config):

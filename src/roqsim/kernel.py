@@ -109,8 +109,7 @@ class Simulator:
         self._buckets = {}  # fire time -> that instant's handles, in seq order
         self._seqs = itertools.count()
         self._cur_seq = -1
-        self._stamp_us = -1  # trace stamp "seconds.micros\t" of time _stamp_us
-        self._stamp = ""
+        self._stamp = None  # "seconds.micros\t" of the traced bucket being dispatched
         self.trace = trace  # file-like object or None
         self.dispatched = 0
 
@@ -168,10 +167,7 @@ class Simulator:
                         fn()
                         count += 1
             else:
-                if fire_us != self._stamp_us:
-                    self._stamp = "%d.%06d\t" % divmod(fire_us, US_PER_S)
-                    self._stamp_us = fire_us
-                stamp = self._stamp
+                stamp = self._stamp = "%d.%06d\t" % divmod(fire_us, US_PER_S)
                 for _, seq, fn, kind, detail in bucket:
                     if fn is not None:
                         self._cur_seq = seq  # only trace_line reads it
@@ -179,6 +175,7 @@ class Simulator:
                         fn()
                         count += 1
             del buckets[fire_us]
+        self._stamp = None
         self.now_us = end_us
         self.dispatched += count
         return count
@@ -186,7 +183,5 @@ class Simulator:
     def trace_line(self, kind, detail):
         """Emit an extra trace line attributed to the current dispatch."""
         if self.trace is not None:
-            if self._stamp_us != self.now_us:  # outside a dispatch
-                self._stamp_us = self.now_us
-                self._stamp = fmt_time(self.now_us) + "\t"
-            self.trace.write(f"{self._stamp}{self._cur_seq}\t{kind}\t{detail}\n")
+            stamp = self._stamp or fmt_time(self.now_us) + "\t"  # None outside a dispatch
+            self.trace.write(f"{stamp}{self._cur_seq}\t{kind}\t{detail}\n")

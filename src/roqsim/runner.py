@@ -174,7 +174,7 @@ class SimulationRun:
                 st.stamp_cb = "000" if st.aggressive and lying else str(own)
 
         if mlda_on:
-            for node, cb, status in dfs.monitor_interval(self.monitor, bits):
+            for node, cb, status in dfs.monitor_interval(self.monitor, idx, bits):
                 if status == dfs.BLOCKED:
                     self._block(node, "node=%d" % node)
                     action = "block"

@@ -125,7 +125,7 @@ def test_criterion_2_escalation_block_timing():
                 state = MonitorState(escalation=mode)
                 got = None
                 for i, code in enumerate(seq, start=1):
-                    acts = monitor_interval(state, obs(code))
+                    acts = monitor_interval(state, i, obs(code))
                     if any(status == BLOCKED for _, _, status in acts):
                         assert got is None
                         got = i

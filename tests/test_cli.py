@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -54,6 +55,43 @@ def test_run_writes_artifacts(tmp_path, config_path):
     assert trace.stat().st_size > 0
     assert det.read_text().splitlines()[0] == "interval,node,cb,status,action"
     assert spectra.read_text().splitlines()[0] == "flow,bin,freq_hz,energy"
+
+
+CELL = {"duration_s": 15.0, "warmup_s": 3.0, "seed": 5, "attack": {"count": 3},
+        "shrew": {"window_bins": 256}}
+# defense -> (config, the nodes it blocks); the shrew case blocks on spectral verdicts
+TRACED = {
+    "none": (CELL, []),
+    "mlda": (dict(CELL, defense="mlda"), [3, 4, 5]),
+    "shrew": (dict(CELL, defense="shrew", seed=1, attack={"count": 2, "queue_cap": 25}),
+              [3, 4]),
+}
+
+
+@pytest.mark.parametrize("defense", TRACED)
+def test_writing_a_trace_changes_nothing(defense, tmp_path, monkeypatch, capsys):
+    raw, blocked = TRACED[defense]
+    path, trace = tmp_path / "run.json", tmp_path / "trace.tsv"
+    path.write_text(json.dumps(raw))
+    runs = []  # every run executed, calibration included; the run itself is last
+    execute = SimulationRun.execute
+
+    def spy(run):
+        runs.append(run)
+        return execute(run)
+
+    monkeypatch.setattr(SimulationRun, "execute", spy)
+    assert main(["run", "--config", str(path)]) == 0
+    plain, dispatched = capsys.readouterr().out, runs[-1].sim.dispatched
+    assert main(["run", "--config", str(path), "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out == plain
+    assert " blocked=%s " % blocked in plain
+    # one line per dispatched event, plus the frame and block lines
+    with open(trace) as fh:
+        kinds = Counter(line.split("\t")[2] for line in fh)
+    assert kinds["block"] == len(blocked)
+    assert sum(kinds.values()) - kinds["frame"] - kinds["block"] == dispatched
+    assert runs[-1].sim.dispatched == dispatched
 
 
 def test_sweep_writes_results(tmp_path, config_path):

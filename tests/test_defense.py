@@ -81,10 +81,10 @@ def test_threshold_validation():
     assert compute_cb(IntervalCounters(rts_cts=0, busy_stop_us=250, retrans=0), th).c2
 
 
-def drive(state, codes_by_node):
-    """Feed one interval; codes_by_node maps node -> bit string."""
+def drive(state, index, codes_by_node):
+    """Feed interval `index` (1-based); codes_by_node maps node -> bit string."""
     bits = {node: bits_of(code) for node, code in codes_by_node.items()}
-    return monitor_interval(state, bits)
+    return monitor_interval(state, index, bits)
 
 
 def blocked(findings):
@@ -94,99 +94,97 @@ def blocked(findings):
 
 def test_streak_blocks_on_three_attacker_intervals():
     state = MonitorState(escalation=STREAK)
-    assert drive(state, {1: "111"}) == [(1, bits_of("111"), ATTACKER)]
-    drive(state, {1: "111"})
-    actions = drive(state, {1: "111"})
+    assert drive(state, 1, {1: "111"}) == [(1, bits_of("111"), ATTACKER)]
+    drive(state, 2, {1: "111"})
+    actions = drive(state, 3, {1: "111"})
     assert actions == [(1, bits_of("111"), BLOCKED)]
     assert state.statuses[1].status == BLOCKED
 
 
 def test_streak_blocks_on_four_suspected_intervals():
     state = MonitorState(escalation=STREAK)
-    for _ in range(3):
-        actions = drive(state, {1: "110"})
+    for i in range(1, 4):
+        actions = drive(state, i, {1: "110"})
         assert 1 not in blocked(actions)
-    actions = drive(state, {1: "011"})  # any two-bit code keeps the streak
+    actions = drive(state, 4, {1: "011"})  # any two-bit code keeps the streak
     assert 1 in blocked(actions)
 
 
 def test_normal_interval_resets_streaks():
     state = MonitorState(escalation=STREAK)
-    drive(state, {1: "111"})
-    drive(state, {1: "111"})
-    drive(state, {1: "100"})  # one-bit finding wipes both streaks
-    for _ in range(2):
-        actions = drive(state, {1: "111"})
+    drive(state, 1, {1: "111"})
+    drive(state, 2, {1: "111"})
+    drive(state, 3, {1: "100"})  # one-bit finding wipes both streaks
+    for i in range(4, 6):
+        actions = drive(state, i, {1: "111"})
         assert 1 not in blocked(actions)
-    assert 1 in blocked(drive(state, {1: "111"}))
+    assert 1 in blocked(drive(state, 6, {1: "111"}))
 
 
 def test_suspected_preserves_attacker_streak():
     state = MonitorState(escalation=STREAK)
-    drive(state, {1: "111"})
-    drive(state, {1: "110"})  # suspected: attacker streak survives
-    drive(state, {1: "111"})
-    actions = drive(state, {1: "111"})
+    drive(state, 1, {1: "111"})
+    drive(state, 2, {1: "110"})  # suspected: attacker streak survives
+    drive(state, 3, {1: "111"})
+    actions = drive(state, 4, {1: "111"})
     assert 1 in blocked(actions)  # third attacker finding, suspected in between
 
 
 def test_blocked_node_is_absorbing():
     state = MonitorState(escalation=STREAK)
-    for _ in range(3):
-        drive(state, {1: "111"})
-    assert drive(state, {1: "111"}) == []  # observations ignored once blocked
+    for i in range(1, 4):
+        drive(state, i, {1: "111"})
+    assert drive(state, 4, {1: "111"}) == []  # observations ignored once blocked
     assert state.statuses[1].status == BLOCKED
 
 
 def test_nofinding_emits_nothing():
     state = MonitorState(escalation=STREAK)
-    assert drive(state, {1: "000"}) == []
+    assert drive(state, 1, {1: "000"}) == []
     assert state.statuses[1].status == NORMAL  # initial status untouched
 
 
 def test_block_resets_surviving_streaks():
     # enforcement changes the network, so old momentum must not carry over
     state = MonitorState(escalation=STREAK)
-    drive(state, {1: "111", 2: "111"})
-    drive(state, {1: "111", 2: "110"})
-    actions = drive(state, {1: "111", 2: "111"})  # node 1 reaches three
+    drive(state, 1, {1: "111", 2: "111"})
+    drive(state, 2, {1: "111", 2: "110"})
+    actions = drive(state, 3, {1: "111", 2: "111"})  # node 1 reaches three
     assert 1 in blocked(actions) and 2 not in blocked(actions)
     assert state.statuses[2].attacker_streak == 0
     assert state.statuses[2].suspected_streak == 0
-    drive(state, {2: "111"})
-    actions = drive(state, {2: "111"})
+    drive(state, 4, {2: "111"})
+    actions = drive(state, 5, {2: "111"})
     assert 2 not in blocked(actions)  # needs a fresh run of three
-    assert 2 in blocked(drive(state, {2: "111"}))
+    assert 2 in blocked(drive(state, 6, {2: "111"}))
 
 
 def test_absolute_mode_interval_three_and_four():
     state = MonitorState(escalation=ABSOLUTE)
-    drive(state, {1: "000"})
-    drive(state, {1: "000"})
-    actions = drive(state, {1: "111"})  # attacker status at interval 3
+    drive(state, 1, {1: "000"})
+    drive(state, 2, {1: "000"})
+    actions = drive(state, 3, {1: "111"})  # attacker status at interval 3
     assert 1 in blocked(actions)
 
     state = MonitorState(escalation=ABSOLUTE)
-    for _ in range(3):
-        drive(state, {1: "110"})
-    actions = drive(state, {1: "110"})  # suspected status at interval 4
+    for i in range(1, 4):
+        drive(state, i, {1: "110"})
+    actions = drive(state, 4, {1: "110"})  # suspected status at interval 4
     assert 1 in blocked(actions)
 
     state = MonitorState(escalation=ABSOLUTE)
-    drive(state, {1: "000"})
-    drive(state, {1: "000"})
-    drive(state, {1: "000"})
-    drive(state, {1: "000"})
-    actions = drive(state, {1: "111"})  # interval 5: the gate has passed
+    for i in range(1, 5):
+        drive(state, i, {1: "000"})
+    actions = drive(state, 5, {1: "111"})  # interval 5: the gate has passed
     assert 1 not in blocked(actions)
 
 
 def test_block_without_finding_reports_empty_bits():
     # absolute mode blocks on the status earlier findings left, whatever this interval saw
     state = MonitorState(escalation=ABSOLUTE)
-    drive(state, {1: "000", 2: "000"})
-    drive(state, {1: "111", 2: "100"})
-    assert drive(state, {1: "000", 2: "000"}) == [(1, bits_of("000"), BLOCKED)]
+    drive(state, 1, {1: "000", 2: "000"})
+    drive(state, 2, {1: "111", 2: "100"})
+    assert drive(state, 3, {1: "000", 2: "000"}) == [(1, bits_of("000"), BLOCKED)]
 
 
 # -- exhaustive cross-check against an independent replay ---------------------
@@ -226,7 +224,7 @@ def test_escalation_matches_replay_for_all_short_sequences(mode):
             expected = oracle([classify_cb(bits_of(c)) for c in seq])
             got = None
             for i, code in enumerate(seq, start=1):
-                actions = drive(state, {1: code})
+                actions = drive(state, i, {1: code})
                 if blocked(actions):
                     assert got is None, "blocked twice for %s" % (seq,)
                     got = i

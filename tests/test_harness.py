@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from roqsim import harness
-from roqsim.config import ConfigError, MldaSection, RunConfig, config_from_dict
+from roqsim.config import ConfigError, RunConfig, config_from_dict
 from roqsim.harness import (
     DETECTIONS_HEADER,
     RESULTS_HEADER,
@@ -15,7 +15,6 @@ from roqsim.harness import (
     resolve_thresholds,
     run_point,
     sweep,
-    thresholds_from_samples,
     write_detections_csv,
     write_results_csv,
 )
@@ -28,18 +27,25 @@ SMALL = {
 }
 
 
-def test_thresholds_from_samples_scale_and_floor():
-    th = thresholds_from_samples(MldaSection(), [20, 40], [0.02, 0.06], [0, 1])
+def test_calibration_scales_the_means_and_floors_retransmissions(monkeypatch):
+    def calibrate(raw, records):
+        monkeypatch.setattr(harness, "run_simulation",
+                            lambda c: SimpleNamespace(interval_records=records))
+        cfg = config_from_dict(dict(raw, warmup_s=0.0, attack={"count": 0}))
+        return cfg, calibrate_thresholds(cfg)
+
+    _, th = calibrate({"duration_s": 0.1, "mlda": {"interval_s": 0.1}},
+                      [(1, 1, IntervalCounters(20, 20_000, 0)),
+                       (1, 2, IntervalCounters(40, 60_000, 1))])
     assert th.rc_th == pytest.approx(45.0)  # 1.5 * mean(30)
     assert th.se_th_s == pytest.approx(0.06)
     assert th.re_th == 3.0  # 1.5 * 0.5 is under the floor
-    mlda = MldaSection(interval_s=2.0, escalation="absolute")
-    th2 = thresholds_from_samples(mlda, [1], [0.0], [4])
+    cfg, th2 = calibrate({"duration_s": 2.0, "legit": {"count": 1},
+                          "mlda": {"interval_s": 2.0, "escalation": "absolute"}},
+                         [(1, 1, IntervalCounters(1, 0, 4))])
     assert th2.re_th == 6.0  # above the floor the scaled mean wins
     assert (th2.interval_s, th2.escalation) == (2.0, "absolute")  # the rest is kept
-    assert mlda.rc_th is None  # the section passed in is untouched
-    with pytest.raises(ValueError):
-        thresholds_from_samples(MldaSection(), [], [], [])
+    assert cfg.mlda.rc_th is None  # the section passed in is untouched
 
 
 def test_attack_free_strips_attack_and_defense():

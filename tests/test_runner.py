@@ -1,11 +1,13 @@
 """End-to-end single runs: defenses, blocking, accounting, traces."""
 
+import dataclasses
 import io
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_dcf_timing import check_dcf_timing
 from test_fingerprint import LYING_RUN, TRACED_RUN
 
 from roqsim.config import ABSOLUTE, DEFENSES, STREAK, config_from_dict
@@ -342,3 +344,6 @@ def test_any_short_run_balances_and_its_clean_frames_never_overlap(data):
             air = control_us[frame_kind]
         assert end - air >= last_end, line
         last_end = end
+    # and the DCF timing oracle, which knows only the standard, finds no fault
+    report = check_dcf_timing(trace.getvalue().splitlines(), dataclasses.asdict(config))
+    assert report["violations"] == []
