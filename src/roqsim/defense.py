@@ -34,9 +34,6 @@ class CongestionBits(NamedTuple):
     def __str__(self):
         return "%d%d%d" % (self.c1, self.c2, self.c3)
 
-    def count(self):
-        return int(self.c1) + int(self.c2) + int(self.c3)
-
 
 def compute_cb(counters, mlda):
     """Threshold one interval's counters against a config's mlda section.
@@ -53,7 +50,7 @@ def compute_cb(counters, mlda):
 
 def classify_cb(cb):
     """Grade a bit pattern by how many bits are set (0..3)."""
-    return (NOFINDING, NORMAL, SUSPECTED, ATTACKER)[cb.count()]
+    return (NOFINDING, NORMAL, SUSPECTED, ATTACKER)[sum(cb)]
 
 
 @dataclass

@@ -122,6 +122,10 @@ def _noop(*_args):
 class Medium:
     """Shared single-cell channel tracking overlapping transmissions.
 
+    It decides collisions from two values: busy, the number of frames on air,
+    and _clean, the one frame that can still end clean (it started on an idle
+    medium and nothing has overlapped it yet).  Any overlap clears _clean.
+
     It holds the clock and the PHY timing (a PhyParams) of every station on it.
     """
 
@@ -130,7 +134,8 @@ class Medium:
         self.phy = phy
         # by node id: the order stations receive frames and hear busy/idle
         self._stations = []
-        self._active = []
+        self.busy = 0  # frames on air
+        self._clean = None
         self.last_tx_start = -1
         self.on_clean_frame = _noop  # monitor tap: fn(frame, now_us)
 
@@ -142,28 +147,23 @@ class Medium:
 
     def transmit(self, src_id, frame, air_us):
         now = self.sim.now_us
-        active = self._active
-        rec = [frame, src_id, False]
-        if active:
-            for r in active:
-                r[2] = True
-            rec[2] = True
-        active.append(rec)
+        self.busy += 1
         self.last_tx_start = now
-        self.sim.schedule(now + air_us, "frame_end", lambda r=rec: self._end(r))
-        if len(active) == 1:
-            # the medium just turned busy: contending stations freeze
-            for st in self._stations:
-                if st.state is CONTEND:
-                    st.on_medium_busy(now)
+        self.sim.schedule(now + air_us, "frame_end", lambda s=src_id, f=frame: self._end(s, f))
+        if self.busy > 1:
+            self._clean = None  # an overlap corrupts every frame on air
+            return
+        self._clean = frame
+        # the medium just turned busy: contending stations freeze
+        for st in self._stations:
+            if st.state is CONTEND:
+                st.on_medium_busy(now)
 
-    def _end(self, rec):
-        active = self._active
-        active.remove(rec)
-        frame, src_id, corrupted = rec
+    def _end(self, src_id, frame):
+        self.busy -= 1
         sim = self.sim
         now = sim.now_us
-        if not corrupted:
+        if frame is self._clean:
             self.on_clean_frame(frame, now)
             kind = frame.kind
             dst = frame.dst
@@ -196,7 +196,7 @@ class Medium:
                         if kind == RTS:
                             sim.schedule(now + self.phy.cts_timeout_us, "nav_reset_check",
                                          st._nav_reset_check)
-        if not active:
+        if not self.busy:
             for st in self._stations:
                 if st.state is CONTEND:
                     st.resume_contention(now)
@@ -314,7 +314,7 @@ class Station:
         """Contend from now on: freeze while the medium or the NAV is busy, else
         count DIFS then the remaining backoff.  The medium calls this for every
         contending station when it turns idle."""
-        busy = self.medium._active
+        busy = self.medium.busy
         if busy or self.nav_until > now:
             if self._frozen_since is None:
                 self._frozen_since = now
@@ -377,7 +377,6 @@ class Station:
         now = self.sim.now_us
         self._access_h = None  # this very event: nothing to cancel
         self._leave_contend()
-        self.backoff_rem = 0
         if not self.aggressive:  # greedy senders never discard stale frames
             lifetime = self.phy.queue_lifetime_us
             while self.queue and now - self.queue[0].enqueued_us > lifetime:
@@ -467,7 +466,7 @@ class Station:
         Runs cts_timeout_us after the RTS ended: no frame may have started since.
         """
         now = self.sim.now_us
-        if self.medium.last_tx_start <= now - self.phy.cts_timeout_us and not self.medium._active:
+        if self.medium.last_tx_start <= now - self.phy.cts_timeout_us and not self.medium.busy:
             if self.nav_until > now:
                 self.nav_until = now
                 if self.state is CONTEND:

@@ -66,7 +66,7 @@ def test_congestion_bits_string_round_trip():
     for code in ALL_CODES:
         cb = bits_of(code)
         assert str(cb) == code
-        assert cb.count() == code.count("1")
+        assert sum(cb) == code.count("1")
 
 
 def test_threshold_validation():

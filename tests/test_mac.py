@@ -374,10 +374,37 @@ def test_attempt_due_as_the_medium_turns_busy_still_fires():
     sim.schedule(20, "late", lambda: st2.enqueue(Frame(DATA, 2, 0, 8000)))
     sim.run_until(70)
     assert st1.backoff_rem == 0
-    assert len(medium._active) == 2  # two RTS in the air: they collide
+    assert medium.busy == 2  # two RTS in the air: they collide
     sim.run_until(70 + 80 + phy.cts_timeout_us)
     assert st1.counters.rts_cts == 0 and st2.counters.rts_cts == 0
     assert st1.counters.retrans == 1 and st2.counters.retrans == 1
+
+
+def test_overlaps_corrupt_every_frame_they_touch():
+    sim = Simulator(seed=0)
+    medium = Medium(sim, PhyParams())
+    clean = []
+    medium.on_clean_frame = lambda frame, now: clean.append((frame.seq_no, now))
+
+    def send_at(t, seq, air_us):
+        frame = Frame(DATA, 8, 77, 0, seq_no=seq)
+        sim.schedule(t, "send", lambda: medium.transmit(8, frame, air_us))
+
+    # a chain: 3 overlaps only 2, which 1 had already overlapped
+    send_at(0, 1, 100)
+    send_at(50, 2, 100)
+    send_at(120, 3, 100)
+    # 5's send is scheduled before 4's frame_end, so at 400 it dispatches first
+    send_at(300, 4, 100)
+    send_at(400, 5, 100)
+    # 6's send is scheduled after 5's frame_end, so 6 starts on an idle medium
+    sim.schedule(450, "later", lambda: send_at(500, 6, 60))
+    send_at(700, 7, 100)
+    sim.run_until(400)
+    assert medium.busy == 1  # 5 went on air, then 4 ended
+    sim.run_until(1_000)
+    assert clean == [(6, 560), (7, 800)]
+    assert medium.busy == 0
 
 
 def test_contention_timers_fire_only_while_contending():

@@ -126,6 +126,17 @@ def test_shrew_blocks_slow_pulser():
     assert by_flow[3].ratio > 0.7
 
 
+@pytest.mark.xfail(strict=True, reason="802.11 short-term unfairness: a winner resets to"
+                   " cw_min while the losers keep doubled windows, so an honest node can stay"
+                   " above 1.5x the calibrated means for several intervals")
+def test_busy_honest_cell_has_no_false_blocks():
+    # 8 legit stations at 60 pps saturate the cell; seed 3 blocks nodes 6, 7 and 8
+    c = resolve_thresholds(cfg(duration_s=60.0, seed=3, defense="mlda",
+                               legit={"count": 8, "app_rate_pps": 60}, attack={"count": 0}))
+    r = run_simulation(c)
+    assert not r.blocked
+
+
 def test_mlda_without_thresholds_raises():
     with pytest.raises(ValueError):
         SimulationRun(cfg(defense="mlda"))
