@@ -21,10 +21,11 @@ backoff; an empty queue leads to idle.  Timer invariants:
 - _exchange_h is the station's own next exchange step (CTS or ACK timeout,
   or the DATA due); _resp_h is the CTS or ACK it owes another station.
 
-Per station and per monitoring interval three counters accumulate: its
-RTS/CTS count (its own clean RTS plus the clean CTS addressed to it, which is
-what the access point hears of it), microseconds of frozen backoff, and
-retransmissions.
+Per station and per monitoring interval an IntervalCounters accumulates:
+the station counts its frozen backoff and retransmissions, and the medium
+records what the access point hears of it, its RTS/CTS count (its own clean
+RTS plus the clean CTS addressed to it) and the c2/c3 congestion bits its
+clean RTS and DATA frames carried.
 """
 
 from collections import deque
@@ -108,11 +109,17 @@ class Frame:
 
 @dataclass(slots=True, eq=False)
 class IntervalCounters:
-    """Per-station counters accumulated within one monitoring interval."""
+    """Per-station counters accumulated within one monitoring interval.
+
+    The station counts busy_stop_us and retrans; the medium writes rts_cts,
+    heard_c2 and heard_c3, what the access point hears of the station.
+    """
 
     rts_cts: int = 0
     busy_stop_us: int = 0
     retrans: int = 0
+    heard_c2: bool = field(default=False, init=False)
+    heard_c3: bool = field(default=False, init=False)
 
 
 def _noop(*_args):
@@ -137,7 +144,8 @@ class Medium:
         self.busy = 0  # frames on air
         self._clean = None
         self.last_tx_start = -1
-        self.on_clean_frame = _noop  # monitor tap: fn(frame, now_us)
+        # fn(frame, now_us) per clean frame, for tests and the bench's frame count
+        self.on_clean_frame = _noop
 
     def register(self, station):
         if any(st.node_id == station.node_id for st in self._stations):
@@ -174,8 +182,9 @@ class Medium:
                     % (kind, frame.src, dst, frame.cb, frame.seq_no),
                 )
             nav = now + frame.duration_us if frame.duration_us > 0 else 0
-            # A node's RTS/CTS count is its own RTS plus the CTS sent to it, as
-            # the access point sees them, so a blocked node counts too.
+            # The access point hears a node's RTS/CTS count, its own RTS plus the
+            # CTS sent to it, and the c2/c3 bits it stamped (CTS and ACK always
+            # carry "000"), so a blocked node counts too.
             # Overheard frames only extend the NAV and, after an RTS, arm the
             # NAV release; the addressee handles its frame in receive().
             # Stations go in node-id order, so events keep their seq order.
@@ -184,6 +193,12 @@ class Medium:
                 if node == src_id:
                     if kind == RTS:
                         st.counters.rts_cts += 1
+                    cb = frame.cb
+                    if cb != "000":
+                        if cb[1] == "1":
+                            st.counters.heard_c2 = True
+                        if cb[2] == "1":
+                            st.counters.heard_c3 = True
                     continue
                 if node == dst:
                     if kind == CTS:

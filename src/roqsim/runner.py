@@ -2,9 +2,9 @@
 
 Node layout: node 0 is the access point, which is also the passive monitor
 and the enforcement point (blocked sources get no CTS and their DATA is
-discarded).  As monitor it reads each node's RTS/CTS count, the node's own
-RTS plus the CTS sent to it, which it hears itself, and takes the other two
-congestion bits from those the node stamped into its RTS and DATA.  Legit
+discarded).  As monitor it reads what the medium records of each node in an
+interval: the RTS/CTS count (the node's own RTS plus the CTS sent to it) and
+the c2/c3 congestion bits the node stamped into its RTS and DATA.  Legit
 stations run the TCP-like flows toward the AP; attacker stations run pulsed
 senders toward the AP.
 
@@ -20,7 +20,7 @@ from . import defense as dfs
 from . import spectral
 from .config import DEFENSE_MLDA, DEFENSE_SHREW, RunConfig
 from .kernel import Simulator, to_us
-from .mac import DATA, RTS, Medium, PhyParams, Station
+from .mac import Medium, PhyParams, Station
 from .metrics import ClassStats, FlowStats, audit_conservation
 from .traffic import PulsedSource, TcpSink, TcpSource
 
@@ -71,9 +71,6 @@ class SimulationRun:
         self.detection_rows = []
         self.interval_records = []
         self.verdicts = []
-        # nodes whose RTS or DATA stamped c2 / c3 this interval
-        self._stamp_c2 = set()
-        self._stamp_c3 = set()
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -121,8 +118,6 @@ class SimulationRun:
         for node in self.monitored:
             self.recorders[node] = spectral.ArrivalRecorder(node, bin_us, cfg.shrew.window_bins)
 
-        self.medium.on_clean_frame = self._monitor_tap
-
         interval_us = to_us(cfg.mlda.interval_s)
         self._interval_us = interval_us
         sim.schedule(interval_us, "interval_rollover", self._on_interval)
@@ -143,15 +138,6 @@ class SimulationRun:
         if sink is None or sink.on_data(frame, now):
             self.stats[src].on_goodput(frame, now)
 
-    def _monitor_tap(self, frame, now):
-        kind = frame.kind
-        if kind == RTS or kind == DATA:
-            cb = frame.cb
-            if cb[1] == "1":
-                self._stamp_c2.add(frame.src)
-            if cb[2] == "1":
-                self._stamp_c3.add(frame.src)
-
     # -- monitoring interval -------------------------------------------------
 
     def _on_interval(self):
@@ -167,9 +153,7 @@ class SimulationRun:
             if mlda_on:
                 own = dfs.compute_cb(counters, mlda)
                 # the AP heard the RTS/CTS itself and takes the other two bits as stamped
-                bits[node] = dfs.CongestionBits(
-                    own.c1, node in self._stamp_c2, node in self._stamp_c3
-                )
+                bits[node] = dfs.CongestionBits(own.c1, counters.heard_c2, counters.heard_c3)
                 # next interval every honest node stamps its own bits of this one
                 st.stamp_cb = "000" if st.aggressive and lying else str(own)
 
@@ -181,10 +165,6 @@ class SimulationRun:
                 else:
                     action = "transmit_cb"
                 self.detection_rows.append((idx, node, str(cb), status, action))
-
-        # the stamps seen reset every interval
-        self._stamp_c2.clear()
-        self._stamp_c3.clear()
 
         nxt = self.sim.now_us + self._interval_us
         if nxt <= self.duration_us:

@@ -464,7 +464,7 @@ def test_a_new_frame_is_unsent_and_equal_only_to_itself():
 
 def test_interval_counters_repr():
     assert repr(IntervalCounters(1, 2, 3)) == (
-        "IntervalCounters(rts_cts=1, busy_stop_us=2, retrans=3)"
+        "IntervalCounters(rts_cts=1, busy_stop_us=2, retrans=3, heard_c2=False, heard_c3=False)"
     )
 
 

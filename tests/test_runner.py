@@ -184,6 +184,29 @@ def _rts_cts_on_air(trace):
     return intervals
 
 
+def _heard_on_air(trace):
+    """Interval index -> node -> (c2, c3): whether any clean RTS or DATA the
+    node sent carried that bit in its cb= field.
+
+    Read in dispatch order: each interval_rollover line closes an interval.
+    """
+    intervals = {}
+    current = {}
+    for line in trace.splitlines():
+        _, _, kind, detail = line.split("\t", 3)
+        if kind == "frame":
+            frame_kind, src, _, cb = detail.split()[:4]
+            if frame_kind == "RTS" or frame_kind == "DATA":
+                node = int(src[len("src="):])
+                c2, c3 = current.get(node, (False, False))
+                cb = cb[len("cb="):]
+                current[node] = (c2 or cb[1] == "1", c3 or cb[2] == "1")
+        elif kind == "interval_rollover":
+            intervals[len(intervals) + 1] = current
+            current = {}
+    return intervals
+
+
 @pytest.mark.parametrize("config", [
     pytest.param({"duration_s": 20.0, "seed": 3}, id="none"),
     pytest.param(TRACED_RUN, id="mlda-with-blocks"),
@@ -198,6 +221,10 @@ def test_rts_cts_count_equals_the_frames_on_air(config):
                for index, node, counters in result.interval_records}
     assert counted == {(index, node): on_air[index][node] for index, node in counted}
     assert {index for index, _ in counted} == set(on_air)
+    # the stamped bits the medium records are those on the clean frames
+    heard = _heard_on_air(trace.getvalue())
+    for index, node, counters in result.interval_records:
+        assert (counters.heard_c2, counters.heard_c3) == heard[index].get(node, (False, False))
 
 
 @pytest.mark.parametrize("config", [
