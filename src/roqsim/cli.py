@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness, spectral
@@ -32,7 +33,26 @@ def _build_parser():
     return p
 
 
+def _check_outputs(args, *options):
+    """Refuse an output path no write could open, before any simulation runs."""
+    for option in options:
+        path = getattr(args, option[2:].replace("-", "_"))
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            problem = "is a directory"
+        elif not os.path.isdir(parent):
+            problem = "no such directory %s" % parent
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            problem = "directory %s is not writable" % parent
+        else:
+            continue
+        raise ConfigError("%s %s: %s" % (option, path, problem))
+
+
 def _cmd_run(args):
+    _check_outputs(args, "--trace", "--detections", "--dump-spectra")
     cfg = load_config(args.config)
     if cfg.defense == DEFENSE_MLDA:
         cfg = harness.resolve_thresholds(cfg)
@@ -60,6 +80,7 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1, got %d" % args.workers)
+    _check_outputs(args, "--out")
     cfg = load_config(args.config)
     rows = harness.sweep(cfg, args.axis, workers=args.workers)
     harness.write_results_csv(args.out, rows)

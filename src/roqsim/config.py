@@ -35,6 +35,10 @@ MAX_STATIONS = 2007
 # flow, while an unbounded window could ask for gigabytes before the first event
 MAX_WINDOW_BINS = 1 << 16
 
+# and the cap on all flows together: 2**21 bins are 16 MiB of list slots, while
+# 2007 flows of 2**16 bins each would take a gigabyte
+MAX_RUN_BINS = 1 << 21
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -170,6 +174,9 @@ class RunConfig:
         if n > MAX_WINDOW_BINS:
             raise ConfigError("shrew.window_bins must be at most %d, got %d"
                               % (MAX_WINDOW_BINS, n))
+        if stations * n > MAX_RUN_BINS:
+            raise ConfigError("(legit.count + attack.count) * shrew.window_bins must be at "
+                              "most %d, got %d * %d" % (MAX_RUN_BINS, stations, n))
         nyq = 1.0 / (2.0 * self.shrew.bin_s)
         if not (0 < self.shrew.cutoff_hz <= nyq):
             raise ConfigError("shrew.cutoff_hz must be in (0, %g]" % nyq)

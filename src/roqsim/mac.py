@@ -133,14 +133,14 @@ class Medium:
     and _clean, the one frame that can still end clean (it started on an idle
     medium and nothing has overlapped it yet).  Any overlap clears _clean.
 
-    It holds the clock and the PHY timing (a PhyParams) of every station on it.
+    It holds the clock, the PHY timing (a PhyParams) and stations, the cell's one
+    station registry: in ascending node id, the order frames and busy/idle reach them.
     """
 
     def __init__(self, sim, phy):
         self.sim = sim
         self.phy = phy
-        # by node id: the order stations receive frames and hear busy/idle
-        self._stations = []
+        self.stations = []
         self.busy = 0  # frames on air
         self._clean = None
         self.last_tx_start = -1
@@ -148,10 +148,10 @@ class Medium:
         self.on_clean_frame = _noop
 
     def register(self, station):
-        if any(st.node_id == station.node_id for st in self._stations):
-            raise ValueError("duplicate node id %d" % station.node_id)
-        self._stations.append(station)
-        self._stations.sort(key=lambda st: st.node_id)
+        """Append a station; stations register in ascending node id."""
+        if self.stations and station.node_id <= self.stations[-1].node_id:
+            raise ValueError("node id %d is not above the last registered" % station.node_id)
+        self.stations.append(station)
 
     def transmit(self, src_id, frame, air_us):
         now = self.sim.now_us
@@ -163,7 +163,7 @@ class Medium:
             return
         self._clean = frame
         # the medium just turned busy: contending stations freeze
-        for st in self._stations:
+        for st in self.stations:
             if st.state is CONTEND:
                 st.on_medium_busy(now)
 
@@ -188,7 +188,7 @@ class Medium:
             # Overheard frames only extend the NAV and, after an RTS, arm the
             # NAV release; the addressee handles its frame in receive().
             # Stations go in node-id order, so events keep their seq order.
-            for st in self._stations:
+            for st in self.stations:
                 node = st.node_id
                 if node == src_id:
                     if kind == RTS:
@@ -212,7 +212,7 @@ class Medium:
                             sim.schedule(now + self.phy.cts_timeout_us, "nav_reset_check",
                                          st._nav_reset_check)
         if not self.busy:
-            for st in self._stations:
+            for st in self.stations:
                 if st.state is CONTEND:
                     st.resume_contention(now)
 

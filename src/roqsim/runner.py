@@ -57,6 +57,7 @@ class SimulationRun:
         self.config = config
         self.sim = Simulator(seed=config.seed, trace=trace)
         self.medium = Medium(self.sim, PhyParams(config.phy))
+        self.stations = self.medium.stations  # by node id: nodes are 0..n-1, in order
         self.warmup_us = to_us(config.warmup_s)
         self.duration_us = to_us(config.duration_s)
         self.legit_nodes = config.legit_nodes()
@@ -79,16 +80,15 @@ class SimulationRun:
         cfg = self.config
         sim = self.sim
         self.stats = {}
-        self.stations = {}
         self.sinks = {}
         self.tcp_sources = {}
         self.pulsed_sources = {}
         self.recorders = {}
 
+        # the access point has no FlowStats: its copies are TCP ACKs, overhead
         ap = Station(self.medium, cfg.ap_node, sim.rng.fork(cfg.ap_node))
         ap.blocklist = self.blocklist
         ap.on_data_rx = self._ap_data_rx
-        self.stations[cfg.ap_node] = ap  # its copies are TCP ACKs: overhead, not a flow
 
         for node in self.legit_nodes:
             st = Station(self.medium, node, sim.rng.fork(node))
@@ -97,7 +97,6 @@ class SimulationRun:
             st.on_enqueue = fs.on_sent
             st.on_copy_done = fs.on_copy_done
             st.on_data_rx = src.on_transport_ack  # only the AP sends it DATA
-            self.stations[node] = st
             self.sinks[node] = TcpSink(ap, node)
 
         attack = cfg.attack
@@ -108,7 +107,6 @@ class SimulationRun:
             fs = self.stats[node] = FlowStats(True, self.warmup_us)
             st.on_enqueue = fs.on_sent
             st.on_copy_done = fs.on_copy_done
-            self.stations[node] = st
             if active:
                 phase_us = to_us(i * attack.period_s / n_attack) if attack.stagger else 0
                 self.pulsed_sources[node] = PulsedSource(st, cfg.ap_node, attack, phase_us)

@@ -335,6 +335,24 @@ def test_sweep_refuses_fewer_than_one_worker(config_path, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", ["--out", "--trace", "--detections", "--dump-spectra"])
+@pytest.mark.parametrize("fault", ["missing-directory", "directory"])
+def test_bad_output_path_exits_1_before_any_run(tmp_path, monkeypatch, capsys, option, fault):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation ran before %s was checked" % option)
+
+    monkeypatch.setattr(harness, "run_simulation", no_run)  # calibration included
+    monkeypatch.setattr(cli, "SimulationRun", no_run)
+    path = tmp_path / "mlda.json"  # no thresholds: run would calibrate first
+    path.write_text(json.dumps(dict(SMALL, defense="mlda")))
+    bad = tmp_path / "missing" / "x.csv" if fault == "missing-directory" else tmp_path
+    command = ["sweep", "attackers"] if option == "--out" else ["run"]
+    assert main(command + ["--config", str(path), option, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s %s: " % (option, bad))
+    assert ("is a directory" if fault == "directory" else "no such directory") in err
+
+
 _RUN = """
 import sys
 from roqsim.cli import main

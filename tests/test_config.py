@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roqsim import cli
 from roqsim.config import (
     DEFENSE_MLDA,
     DEFENSE_NONE,
@@ -178,6 +179,25 @@ def test_wrong_typed_value_gives_a_short_message(data, field):
 def test_window_bins_cap_is_allowed():
     cfg = config_from_dict({"shrew": {"window_bins": MAX_WINDOW_BINS}})
     assert cfg.shrew.window_bins == MAX_WINDOW_BINS
+
+
+def test_arrival_bins_of_a_whole_run_are_capped(tmp_path, monkeypatch, capsys):
+    # each cap alone is allowed, but 2007 flows of 65,536 bins would take a gigabyte
+    data = {"legit": {"count": 2000}, "attack": {"count": 7},
+            "shrew": {"window_bins": MAX_WINDOW_BINS}}
+    message = ("(legit.count + attack.count) * shrew.window_bins must be at most 2097152, "
+               "got 2007 * 65536")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(data)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run was built from a config past the bin cap")
+
+    monkeypatch.setattr(cli, "SimulationRun", no_run)
+    path = tmp_path / "bins.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "config error: %s\n" % message
 
 
 def test_station_cap_is_allowed():

@@ -342,6 +342,15 @@ def test_medium_rejects_duplicate_ids():
         Station(medium, 0, ScriptedRng())
 
 
+def test_medium_rejects_a_lower_id_after_a_higher_one():
+    # stations register in ascending node id; the registry is never re-sorted
+    sim, phy, medium, ap = make_cell()
+    st = Station(medium, 5, ScriptedRng())
+    with pytest.raises(ValueError, match="node id 3 is not above the last registered"):
+        Station(medium, 3, ScriptedRng())
+    assert medium.stations == [ap, st]
+
+
 # -- the contention timer rules --------------------------------------------
 
 

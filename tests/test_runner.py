@@ -14,7 +14,7 @@ from roqsim.config import ABSOLUTE, DEFENSES, STREAK, config_from_dict
 from roqsim.defense import compute_cb
 from roqsim.harness import resolve_thresholds
 from roqsim.kernel import Simulator, to_us
-from roqsim.mac import ACK, CTS, DATA, OUT_BLOCKED_DROP, RTS, Medium, PhyParams
+from roqsim.mac import ACK, CTS, DATA, OUT_BLOCKED_DROP, RTS, Medium, PhyParams, Station
 from roqsim.runner import SimulationRun, run_simulation
 from roqsim.traffic import TCP_ACK_BITS
 
@@ -152,6 +152,18 @@ def test_trace_output():
     assert "interval_rollover" in kinds
     for line in lines[:20]:
         assert len(line.split("\t")) == 4
+
+
+def test_run_reads_its_stations_from_the_medium_registry():
+    c = cfg(legit={"count": 3}, attack={"count": 2})
+    run = SimulationRun(c)
+    assert run.stations is run.medium.stations
+    # run.stations[n] is node n: the access point, then legit, then attackers
+    assert [st.node_id for st in run.stations] == list(range(6))
+    # no container of the run's own holds stations: the medium's list is the one
+    held = [v for v in vars(run).values() if isinstance(v, (dict, list))
+            and any(isinstance(x, Station) for x in (v.values() if isinstance(v, dict) else v))]
+    assert held and all(v is run.medium.stations for v in held)
 
 
 def test_interval_records_cover_all_stations():
