@@ -34,19 +34,25 @@ def _build_parser():
 
 
 def _check_outputs(args, *options):
-    """Refuse an output path no write could open, before any simulation runs."""
+    """Refuse, before any simulation runs, an output path no write could open
+    or one that names the config or an earlier output, which the write would replace."""
+    taken = {os.path.realpath(args.config): "--config"}
     for option in options:
         path = getattr(args, option[2:].replace("-", "_"))
         if path is None:
             continue
+        real = os.path.realpath(path)
         parent = os.path.dirname(os.path.abspath(path))
-        if os.path.isdir(path):
+        if real in taken:
+            problem = "same file as %s" % taken[real]
+        elif os.path.isdir(path):
             problem = "is a directory"
         elif not os.path.isdir(parent):
             problem = "no such directory %s" % parent
         elif not os.access(parent, os.W_OK | os.X_OK):
             problem = "directory %s is not writable" % parent
         else:
+            taken[real] = option
             continue
         raise ConfigError("%s %s: %s" % (option, path, problem))
 

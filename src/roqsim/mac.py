@@ -134,7 +134,8 @@ class Medium:
     medium and nothing has overlapped it yet).  Any overlap clears _clean.
 
     It holds the clock, the PHY timing (a PhyParams) and stations, the cell's one
-    station registry: in ascending node id, the order frames and busy/idle reach them.
+    station registry, indexed by node id: stations[n] is node n, and frames and
+    busy/idle reach the stations in that order.
     """
 
     def __init__(self, sim, phy):
@@ -148,9 +149,10 @@ class Medium:
         self.on_clean_frame = _noop
 
     def register(self, station):
-        """Append a station; stations register in ascending node id."""
-        if self.stations and station.node_id <= self.stations[-1].node_id:
-            raise ValueError("node id %d is not above the last registered" % station.node_id)
+        """Append a station; stations register as nodes 0, 1, 2, ... in order."""
+        if station.node_id != len(self.stations):
+            raise ValueError("node id %d is not the next id, %d"
+                             % (station.node_id, len(self.stations)))
         self.stations.append(station)
 
     def transmit(self, src_id, frame, air_us):
@@ -223,10 +225,9 @@ class Station:
     An attack section makes the station a greedy attacker (aggressive): its
     contention window stays pinned at attack.cw on failures, its queue holds
     at most attack.queue_cap frames, and it keeps stale frames.  Compliant
-    stations start from phy.cw_min with an unbounded queue.  A station with
-    a non-empty blocklist acts as the access point: it refuses CTS to
-    blocked sources and discards their DATA.  disable() models
-    deassociation: the station stops transmitting entirely.
+    stations start from phy.cw_min with an unbounded queue.  disable() models
+    deassociation: the station stops transmitting entirely, and its
+    addressee refuses its RTS and DATA.
     """
 
     def __init__(self, medium, node_id, rng, attack=None):
@@ -247,7 +248,6 @@ class Station:
         self.nav_until = 0
         self.counters = IntervalCounters()
         self.stamp_cb = "000"  # congestion bits stamped into outgoing RTS/DATA
-        self.blocklist = frozenset()  # node ids refused (the access point's set)
         self.on_data_rx = _noop  # fn(frame, now_us): clean DATA addressed to me
         self.on_copy_done = _noop  # fn(frame, outcome, now_us): sender-side ledger
         self.on_enqueue = _noop  # fn(frame, now_us): fires for every copy offered
@@ -447,7 +447,8 @@ class Station:
             return
         kind = frame.kind
         if kind == RTS:
-            if frame.src in self.blocklist or self.nav_until > now or self._resp_h is not None:
+            if (self.medium.stations[frame.src].disabled or self.nav_until > now
+                    or self._resp_h is not None):
                 return
             phy = self.phy
             self._resp_frame = Frame(CTS, self.node_id, frame.src, 0, "000",
@@ -462,9 +463,7 @@ class Station:
                     now + self.phy.sifs_us, "data_tx", self._tx_data
                 )
         elif kind == DATA:
-            if frame.src in self.blocklist:
-                return
-            if self._resp_h is None:
+            if self._resp_h is None and not self.medium.stations[frame.src].disabled:
                 self._resp_frame = Frame(ACK, self.node_id, frame.src, 0, "000", 0, frame.seq_no)
                 self._resp_h = self.sim.schedule(now + self.phy.sifs_us, "ack_tx", self._tx_resp)
                 self.on_data_rx(frame, now)

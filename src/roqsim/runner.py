@@ -1,12 +1,12 @@
 """Builds one simulation from a RunConfig, runs it, and collects results.
 
 Node layout: node 0 is the access point, which is also the passive monitor
-and the enforcement point (blocked sources get no CTS and their DATA is
-discarded).  As monitor it reads what the medium records of each node in an
-interval: the RTS/CTS count (the node's own RTS plus the CTS sent to it) and
-the c2/c3 congestion bits the node stamped into its RTS and DATA.  Legit
-stations run the TCP-like flows toward the AP; attacker stations run pulsed
-senders toward the AP.
+and the enforcement point (a blocked node is deassociated, and the AP gives
+its RTS no CTS and discards its DATA).  As monitor it reads what the medium
+records of each node in an interval: the RTS/CTS count (the node's own RTS
+plus the CTS sent to it) and the c2/c3 congestion bits the node stamped into
+its RTS and DATA.  Legit stations run the TCP-like flows toward the AP;
+attacker stations run pulsed senders toward the AP.
 
 Monitoring intervals are always scheduled so that an idle defense leaves the
 event pattern of a run untouched; only the MLDA defense acts on the interval
@@ -63,7 +63,6 @@ class SimulationRun:
         self.legit_nodes = config.legit_nodes()
         self.attacker_nodes = config.attacker_nodes()
         self.monitored = self.legit_nodes + self.attacker_nodes  # in node order
-        self.blocklist = set()
         if config.defense == DEFENSE_MLDA and config.mlda.rc_th is None:
             raise ValueError(
                 "defense 'mlda' needs thresholds; calibrate first or set them in config"
@@ -87,7 +86,6 @@ class SimulationRun:
 
         # the access point has no FlowStats: its copies are TCP ACKs, overhead
         ap = Station(self.medium, cfg.ap_node, sim.rng.fork(cfg.ap_node))
-        ap.blocklist = self.blocklist
         ap.on_data_rx = self._ap_data_rx
 
         for node in self.legit_nodes:
@@ -175,8 +173,7 @@ class SimulationRun:
                 self._block(v.flow, "node=%d ratio=%.4f" % (v.flow, v.ratio))
 
     def _block(self, node, detail):
-        """Enforce a verdict: the AP refuses the node, which is deassociated."""
-        self.blocklist.add(node)
+        """Enforce a verdict: the node is deassociated, and the AP refuses it."""
         self.stations[node].disable()
         self.sim.trace_line("block", detail)
 
@@ -206,15 +203,15 @@ class SimulationRun:
             leftover[node] = (len(queue), sum(frame.payload_bits for frame in queue))
         audit_conservation(self.stats, leftover)
 
-        false_blocks = len(self.blocklist & set(self.legit_nodes))
+        blocked = {node for node in self.monitored if self.stations[node].disabled}
         return RunResult(
             config=self.config,
             window_s=self.config.duration_s - self.config.warmup_s,
             flows=self.stats,
             legit=legit,
             attack=attack,
-            blocked=set(self.blocklist),
-            false_blocks=false_blocks,
+            blocked=blocked,
+            false_blocks=len(blocked.intersection(self.legit_nodes)),
             detection_rows=self.detection_rows,
             verdicts=self.verdicts,
             interval_records=self.interval_records,

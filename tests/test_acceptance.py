@@ -5,6 +5,7 @@ asserted together with the behaviour.
 
 import itertools
 import math
+import os
 import random
 import time
 from dataclasses import asdict
@@ -36,6 +37,9 @@ from roqsim.runner import SimulationRun, run_simulation
 from roqsim.spectral import low_freq_ratio, power_spectrum
 
 GRADE_BY_BITS = {0: NOFINDING, 1: NORMAL, 2: SUSPECTED, 3: ATTACKER}
+# criteria 3 and 4 run their sweep points in a pool of this size; criterion 9's
+# two sweeps stay serial, so determinism is still checked without one
+ALL_CPUS = os.cpu_count() or 1
 
 
 def bits_of(code):
@@ -139,7 +143,7 @@ def test_criterion_2_escalation_block_timing():
 def test_criterion_3_attacker_sweep_bandwidth_and_loss_ordering():
     t0 = time.monotonic()
     cfg = RunConfig()  # counts {2,4,6,8} x 5 seeds x 100 s
-    rows = sweep(cfg, "attackers")
+    rows = sweep(cfg, "attackers", workers=ALL_CPUS)
     agg = mean_by_point(rows)
     problems = []
     for count in cfg.sweep.attacker_counts:
@@ -162,7 +166,7 @@ def test_criterion_4_period_sweep_ordering_and_no_attack_agreement():
     cfg = config_from_dict(
         asdict(RunConfig()) | {"attack": {"burst_s": 1.0, "rate_pps": 600}}
     )
-    rows = sweep(cfg, "period")
+    rows = sweep(cfg, "period", workers=ALL_CPUS)
     agg = mean_by_point(rows)
     problems = []
     for period in cfg.sweep.periods_s:

@@ -353,6 +353,47 @@ def test_bad_output_path_exits_1_before_any_run(tmp_path, monkeypatch, capsys, o
     assert ("is a directory" if fault == "directory" else "no such directory") in err
 
 
+@pytest.mark.parametrize(
+    "command, outputs, message",
+    [
+        pytest.param(["run"], {"--trace": "run.json"}, "--trace run.json: same file as --config",
+                     id="trace-is-config"),
+        pytest.param(["run"], {"--detections": "run.json"},
+                     "--detections run.json: same file as --config", id="detections-is-config"),
+        pytest.param(["run"], {"--dump-spectra": "run.json"},
+                     "--dump-spectra run.json: same file as --config", id="spectra-is-config"),
+        pytest.param(["sweep", "attackers"], {"--out": "run.json"},
+                     "--out run.json: same file as --config", id="out-is-config"),
+        # a link to the config is the config
+        pytest.param(["run"], {"--trace": "link.json"}, "--trace link.json: same file as --config",
+                     id="trace-links-to-config"),
+        pytest.param(["run"], {"--trace": "x", "--detections": "x"},
+                     "--detections x: same file as --trace", id="detections-is-trace"),
+        pytest.param(["run"], {"--detections": "x", "--dump-spectra": "x"},
+                     "--dump-spectra x: same file as --detections", id="spectra-is-detections"),
+    ],
+)
+def test_clashing_output_paths_exit_1_before_any_run(tmp_path, monkeypatch, capsys, command,
+                                                     outputs, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation ran before the output paths were checked")
+
+    monkeypatch.setattr(harness, "run_simulation", no_run)  # calibration included
+    monkeypatch.setattr(cli, "SimulationRun", no_run)
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.json"  # no thresholds: run would calibrate first
+    config.write_text(json.dumps(dict(SMALL, defense="mlda")))
+    (tmp_path / "link.json").symlink_to(config)
+    before = config.read_bytes()
+    argv = command + ["--config", "run.json"]
+    for option, path in outputs.items():
+        argv += [option, path]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert config.read_bytes() == before
+    assert not (tmp_path / "x").exists()
+
+
 _RUN = """
 import sys
 from roqsim.cli import main

@@ -88,7 +88,7 @@ def test_single_exchange_timing():
 def test_third_party_overhears_both_control_frames():
     sim, phy, medium, ap = make_cell()
     st = Station(medium, 1, ScriptedRng([0]))
-    watcher = Station(medium, 5, ScriptedRng())
+    watcher = Station(medium, 2, ScriptedRng())
     st.enqueue(Frame(DATA, 1, 0, 8000))
     sim.run_until(10_000)
     # it defers to the exchange (RTS at 50) but counts neither frame: a
@@ -99,11 +99,11 @@ def test_third_party_overhears_both_control_frames():
 
 
 def test_a_disabled_node_still_counts_its_rts_and_the_cts_sent_to_it():
-    # as the AP hears them: blocked at 100 during its RTS (50-130), CTS 140-196
+    # as the AP hears them: RTS 50-130, blocked at 135 with the CTS due 140-196
     sim, phy, medium, ap = make_cell()
     st = Station(medium, 1, ScriptedRng())
     st.enqueue(Frame(DATA, 1, 0, 8000))
-    sim.schedule(100, "block", st.disable)
+    sim.schedule(135, "block", st.disable)
     sim.run_until(10_000)
     assert medium.last_tx_start == 140  # the CTS, which the blocked node ignores
     assert st.counters.rts_cts == 2
@@ -184,7 +184,7 @@ def test_backoff_freezes_and_accrues_stime():
 def test_nav_reset_after_unanswered_rts():
     sim, phy, medium, ap = make_cell()
     st = Station(medium, 1, ScriptedRng())
-    bystander = Station(medium, 5, ScriptedRng())
+    bystander = Station(medium, 2, ScriptedRng())
     st.enqueue(Frame(DATA, 1, 99, 8000))  # dst absent: no CTS will follow
     sim.run_until(150)
     # RTS ended at 130; NAV covers the whole reserved exchange tail
@@ -196,7 +196,7 @@ def test_nav_reset_after_unanswered_rts():
 def test_nav_held_when_handshake_proceeds():
     sim, phy, medium, ap = make_cell()
     st = Station(medium, 1, ScriptedRng())
-    bystander = Station(medium, 5, ScriptedRng())
+    bystander = Station(medium, 2, ScriptedRng())
     st.enqueue(Frame(DATA, 1, 0, 8000))
     sim.run_until(400)  # past the would-be reset at 236: CTS went out at 140
     assert bystander.nav_until == 130 + phy.exchange_tail_us(8000)
@@ -229,15 +229,17 @@ def test_aggressive_station_keeps_stale_frames():
 
 
 def test_ap_blocklist_suppresses_cts():
+    # station 1 is disabled at 100, while its RTS is on air (50-130)
     sim, phy, medium, ap = make_cell()
-    ap.blocklist = {1}
     st1 = Station(medium, 1, ScriptedRng())
     st2 = Station(medium, 2, ScriptedRng([2]))
     done2 = []
     st2.on_copy_done = collector(done2)
     st1.enqueue(Frame(DATA, 1, 0, 8000))
+    sim.schedule(100, "block", st1.disable)
     sim.run_until(300)
-    assert st1.counters.retrans == 1  # RTS went unanswered
+    assert ap._resp_h is None  # the AP refuses the RTS of a disabled station
+    assert medium.last_tx_start == 50  # no CTS went on air
     st2.enqueue(Frame(DATA, 2, 0, 8000))
     sim.run_until(60_000)
     assert done2 and done2[0][1] == OUT_DELIVERED  # others unaffected
@@ -245,7 +247,8 @@ def test_ap_blocklist_suppresses_cts():
 
 def test_ap_blocklist_discards_data():
     sim, phy, medium, ap = make_cell()
-    ap.blocklist = {1}
+    Station(medium, 1, ScriptedRng()).disable()
+    Station(medium, 2, ScriptedRng())
     got = []
     ap.on_data_rx = lambda frame, now: got.append(frame.src)
     ap.receive(Frame(DATA, 1, 0, 8000), 0)
@@ -343,11 +346,13 @@ def test_medium_rejects_duplicate_ids():
 
 
 def test_medium_rejects_a_lower_id_after_a_higher_one():
-    # stations register in ascending node id; the registry is never re-sorted
+    # stations register as nodes 0, 1, 2, ...: stations[n] is node n
     sim, phy, medium, ap = make_cell()
-    st = Station(medium, 5, ScriptedRng())
-    with pytest.raises(ValueError, match="node id 3 is not above the last registered"):
+    st = Station(medium, 1, ScriptedRng())
+    with pytest.raises(ValueError, match="node id 3 is not the next id, 2"):
         Station(medium, 3, ScriptedRng())
+    with pytest.raises(ValueError, match="node id 0 is not the next id, 2"):
+        Station(medium, 0, ScriptedRng())
     assert medium.stations == [ap, st]
 
 
@@ -373,18 +378,27 @@ def test_difs_ending_as_the_medium_turns_busy_is_cancelled():
     assert st.counters.busy_stop_us == 100
 
 
-def test_attempt_due_as_the_medium_turns_busy_still_fires():
+# st1 contends from 0: DIFS to 50, then its backoff; st2, backoff 0, is enqueued
+# later so that its DIFS ends at the instant st1's attempt is due
+@pytest.mark.parametrize("backoff1, enqueue2_us, tie_us", [
+    # st2's DIFS, 20..70, was scheduled before st1's attempt (at 50), so at t=70
+    # st2's RTS turns the medium busy first; st1's attempt at that instant still fires
+    pytest.param(1, 20, 70, id="difs-end-first"),
+    # st1's attempt, scheduled at 50 for 110, dispatches before st2's DIFS end
+    # (scheduled at 60) and cancels it: the zero-backoff DIFS station defers
+    pytest.param(3, 60, 110, id="attempt-first", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 11: a DIFS end with zero backoff left is"
+        " cancelled when an attempt at the same instant turns the medium busy first")),
+])
+def test_a_difs_end_and_an_attempt_at_one_instant_both_transmit(backoff1, enqueue2_us, tie_us):
     sim, phy, medium, ap = make_cell()
-    st1 = Station(medium, 1, ScriptedRng([1]))
+    st1 = Station(medium, 1, ScriptedRng([backoff1]))
     st2 = Station(medium, 2, ScriptedRng([0]))
-    st1.enqueue(Frame(DATA, 1, 0, 8000))  # DIFS to 50, one slot: attempt due at 70
-    # st2's DIFS, 20..70, was scheduled before st1's attempt, so at t=70 st2's
-    # RTS turns the medium busy first; st1's attempt at that instant still fires
-    sim.schedule(20, "late", lambda: st2.enqueue(Frame(DATA, 2, 0, 8000)))
-    sim.run_until(70)
-    assert st1.backoff_rem == 0
+    st1.enqueue(Frame(DATA, 1, 0, 8000))
+    sim.schedule(enqueue2_us, "late", lambda: st2.enqueue(Frame(DATA, 2, 0, 8000)))
+    sim.run_until(tie_us)
     assert medium.busy == 2  # two RTS in the air: they collide
-    sim.run_until(70 + 80 + phy.cts_timeout_us)
+    sim.run_until(tie_us + 80 + phy.cts_timeout_us)
     assert st1.counters.rts_cts == 0 and st2.counters.rts_cts == 0
     assert st1.counters.retrans == 1 and st2.counters.retrans == 1
 

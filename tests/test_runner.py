@@ -79,6 +79,16 @@ def test_mlda_blocks_attackers_and_spares_victims():
     assert all(run.stations[n].disabled for n in attackers)
 
 
+def test_a_block_is_one_state_the_disabled_station():
+    run = SimulationRun(cfg(defense="mlda", mlda=TH))
+    result = run.execute()
+    assert result.blocked  # the run blocks
+    assert result.blocked == {st.node_id for st in run.stations if st.disabled}
+    # no second record of the decision: neither the run nor the AP keeps a set
+    assert not hasattr(run, "blocklist")
+    assert not any(hasattr(st, "blocklist") for st in run.stations)
+
+
 def test_blocked_attacker_sources_stop_at_the_block():
     run = SimulationRun(cfg(defense="mlda", mlda=TH))
     at_block = {}  # node -> (arrivals, copies queued) when the block lands
