@@ -33,18 +33,28 @@ def _build_parser():
     return p
 
 
+def _same_file(a, b):
+    # one real path or, where both exist, one device and inode (a hard link)
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
 def _check_outputs(args, *options):
     """Refuse, before any simulation runs, an output path no write could open
     or one that names the config or an earlier output, which the write would replace."""
-    taken = {os.path.realpath(args.config): "--config"}
+    taken = [(args.config, "--config")]
     for option in options:
         path = getattr(args, option[2:].replace("-", "_"))
         if path is None:
             continue
-        real = os.path.realpath(path)
         parent = os.path.dirname(os.path.abspath(path))
-        if real in taken:
-            problem = "same file as %s" % taken[real]
+        clash = next((other for earlier, other in taken if _same_file(path, earlier)), None)
+        if clash is not None:
+            problem = "same file as %s" % clash
         elif os.path.isdir(path):
             problem = "is a directory"
         elif not os.path.isdir(parent):
@@ -52,7 +62,7 @@ def _check_outputs(args, *options):
         elif not os.access(parent, os.W_OK | os.X_OK):
             problem = "directory %s is not writable" % parent
         else:
-            taken[real] = option
+            taken.append((path, option))
             continue
         raise ConfigError("%s %s: %s" % (option, path, problem))
 

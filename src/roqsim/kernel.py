@@ -11,6 +11,13 @@ contender), and each of them joins its bucket with a list append instead of
 a heap push.  run_until() pops one time and dispatches its bucket in one
 pass; an event scheduled at the current instant during the pass joins the
 same bucket, so it runs in that pass after every event already queued there.
+
+A traced run writes one line per dispatched event.  Its "seconds.micros"
+time column is stamped once per instant, when the instant's first live
+handle dispatches; an instant holding only cancelled handles stamps nothing.
+The "seconds." prefix is kept while instants stay in one second, and the
+micros come from a table of three-digit strings, so a stamp's bytes equal
+fmt_time()'s.
 """
 
 import itertools
@@ -24,6 +31,9 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Most events one instant may hold: the backstop against a callback that
 # reschedules itself at the current time forever.
 MAX_EVENTS_PER_INSTANT = 100_000
+
+# "000" .. "999": a trace stamp's microseconds are two of these
+_DIGITS = tuple("%03d" % n for n in range(1000))
 
 
 def to_us(seconds):
@@ -155,6 +165,7 @@ class Simulator:
         times = self._times
         buckets = self._buckets
         trace = self.trace
+        second_start = second_end = 0  # the traced second whose "seconds." prefix is cached
         count = 0
         while times and times[0] <= end_us:
             fire_us = heappop(times)
@@ -167,9 +178,17 @@ class Simulator:
                         fn()
                         count += 1
             else:
-                stamp = self._stamp = "%d.%06d\t" % divmod(fire_us, US_PER_S)
+                stamp = None  # built at the instant's first dispatch, if any
                 for _, seq, fn, kind, detail in bucket:
                     if fn is not None:
+                        if stamp is None:
+                            if fire_us >= second_end:
+                                second_start = fire_us - fire_us % US_PER_S
+                                second_end = second_start + US_PER_S
+                                prefix = "%d." % (fire_us // US_PER_S)
+                            us = fire_us - second_start
+                            stamp = f"{prefix}{_DIGITS[us // 1000]}{_DIGITS[us % 1000]}\t"
+                            self._stamp = stamp
                         self._cur_seq = seq  # only trace_line reads it
                         trace.write(f"{stamp}{seq}\t{kind}\t{detail}\n")
                         fn()

@@ -367,6 +367,8 @@ def test_bad_output_path_exits_1_before_any_run(tmp_path, monkeypatch, capsys, o
         # a link to the config is the config
         pytest.param(["run"], {"--trace": "link.json"}, "--trace link.json: same file as --config",
                      id="trace-links-to-config"),
+        pytest.param(["run"], {"--trace": "hard.json"}, "--trace hard.json: same file as --config",
+                     id="trace-hard-links-to-config"),
         pytest.param(["run"], {"--trace": "x", "--detections": "x"},
                      "--detections x: same file as --trace", id="detections-is-trace"),
         pytest.param(["run"], {"--detections": "x", "--dump-spectra": "x"},
@@ -384,6 +386,7 @@ def test_clashing_output_paths_exit_1_before_any_run(tmp_path, monkeypatch, caps
     config = tmp_path / "run.json"  # no thresholds: run would calibrate first
     config.write_text(json.dumps(dict(SMALL, defense="mlda")))
     (tmp_path / "link.json").symlink_to(config)
+    (tmp_path / "hard.json").hardlink_to(config)
     before = config.read_bytes()
     argv = command + ["--config", "run.json"]
     for option, path in outputs.items():

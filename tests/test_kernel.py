@@ -89,18 +89,40 @@ def test_run_until_boundary_inclusive():
     assert seen == [1]
 
 
-def test_trace_format():
+# live instants on both sides of second boundaries, and far past 100 s
+_STAMPED = [(0, "0.000000"), (42, "0.000042"), (999_999, "0.999999"), (1_000_000, "1.000000"),
+            (1_000_001, "1.000001"), (2_000_000, "2.000000"), (10**11 + 7, "100000.000007")]
+
+
+def _trace_stamped(gone):
+    # every _STAMPED instant dispatches a "tick" that writes an extra line;
+    # each time in gone holds a cancelled event only
     buf = io.StringIO()
     sim = Simulator(seed=0, trace=buf)
 
     def fire():
         sim.trace_line("extra", "detail=1")
 
-    sim.schedule(42, "tick", fire, detail="d")
-    sim.run_until(50)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "0.000042\t0\ttick\td"
-    assert lines[1] == "0.000042\t0\textra\tdetail=1"
+    for fire_us, _ in _STAMPED:
+        sim.schedule(fire_us, "tick", fire, detail="d")
+    for fire_us in gone:  # scheduled last, so the live events keep their seqs
+        sim.schedule(fire_us, "gone", fire).cancel()
+    sim.run_until(10**11 + 7)
+    return buf.getvalue()
+
+
+def test_trace_format():
+    want = "".join("%s\t%d\ttick\td\n%s\t%d\textra\tdetail=1\n" % (stamp, seq, stamp, seq)
+                   for seq, (_, stamp) in enumerate(_STAMPED))
+    assert want.startswith("0.000000\t0\ttick\td\n0.000000\t0\textra\tdetail=1\n"
+                           "0.000042\t1\ttick\td\n0.000042\t1\textra\tdetail=1\n")
+    assert _trace_stamped(gone=()) == want
+    # instants holding only cancelled events, each right before a live one:
+    # within a second, at the end of a second, at the start of a second.
+    # Each run is a new simulator that starts at 0 after the last one passed
+    # 100 s, so no stamp carries over from another simulator in the process.
+    for gone in [(5, 999_998), (1_999_999,), (10**11,)]:
+        assert _trace_stamped(gone) == want, gone
 
 
 def test_trace_line_outside_dispatch():
@@ -108,13 +130,38 @@ def test_trace_line_outside_dispatch():
     buf = io.StringIO()
     sim = Simulator(seed=0, trace=buf)
     sim.trace_line("start", "a=1")
+    for end_us in (999_999, 1_000_000, 1_000_001):
+        sim.run_until(end_us)
+        sim.trace_line("idle", "t=%d" % end_us)
     sim.schedule(2_000_042, "tick", lambda: None, detail="d")
     sim.run_until(12_500_000)
     sim.trace_line("end", "b=2")
+    sim.run_until(10**11 + 7)
+    sim.trace_line("late", "c=3")
     assert buf.getvalue() == (
         "0.000000\t-1\tstart\ta=1\n"
+        "0.999999\t-1\tidle\tt=999999\n"
+        "1.000000\t-1\tidle\tt=1000000\n"
+        "1.000001\t-1\tidle\tt=1000001\n"
         "2.000042\t0\ttick\td\n"
         "12.500000\t0\tend\tb=2\n"
+        "100000.000007\t0\tlate\tc=3\n"
+    )
+
+    # a second simulator in this process, after the first passed 100 s,
+    # stamps from its own clock
+    buf = io.StringIO()
+    again = Simulator(seed=0, trace=buf)
+    again.trace_line("start", "a=1")
+    again.schedule(5, "gone", lambda: None).cancel()
+    again.schedule(999_999, "tick", lambda: again.trace_line("in", "x=1"))
+    again.run_until(1_000_000)
+    again.trace_line("end", "b=2")
+    assert buf.getvalue() == (
+        "0.000000\t-1\tstart\ta=1\n"
+        "0.999999\t1\ttick\t\n"
+        "0.999999\t1\tin\tx=1\n"
+        "1.000000\t1\tend\tb=2\n"
     )
 
 
@@ -277,8 +324,11 @@ class _SortedListQueue:
 
 
 _MAX_EVENTS = 200  # per program, so that zero-delay chains end
+# delays and times on both sides of second boundaries, where the trace's
+# "seconds." prefix changes
+_DELAYS = [0, 0, 0, 1, 3, 20, 999_990, 999_999, 1_000_000]
 _ACTIONS = st.lists(st.one_of(
-    st.tuples(st.just("at"), st.sampled_from([0, 0, 0, 1, 3, 20])),  # schedule at now + delay
+    st.tuples(st.just("at"), st.sampled_from(_DELAYS)),  # schedule at now + delay
     st.tuples(st.just("cancel"), st.integers(0, 10_000)),  # any handle made so far
     st.tuples(st.just("note"), st.integers(0, 9)),  # trace_line
 ), max_size=3)
@@ -310,7 +360,7 @@ def _play(queue, cancel, programs, initial, slices):
     for fire_us in initial:
         add(fire_us)
     # run_until in slices, as the bench's probe does, acting between them
-    for step, actions in slices + [(10_000, [])]:
+    for step, actions in slices + [(10**9, [])]:
         end_us = queue.now_us + step
         log.append(("slice", queue.run_until(end_us), queue.now_us, queue.dispatched))
         act(actions)
@@ -319,8 +369,10 @@ def _play(queue, cancel, programs, initial, slices):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(programs=st.lists(_ACTIONS, min_size=1, max_size=6),
-       initial=st.lists(st.integers(0, 40), max_size=12),
-       slices=st.lists(st.tuples(st.integers(0, 15), _ACTIONS), max_size=8))
+       initial=st.lists(st.one_of(st.integers(0, 40), st.integers(999_990, 1_000_010),
+                                  st.integers(2_000_000, 2_000_040)), max_size=12),
+       slices=st.lists(st.tuples(st.one_of(st.integers(0, 15), st.sampled_from(_DELAYS)),
+                                 _ACTIONS), max_size=8))
 def test_dispatch_order_equals_a_sorted_list_queue(programs, initial, slices):
     ref = _SortedListQueue()
     want = _play(ref, ref.cancel, programs, initial, slices)
