@@ -7,7 +7,6 @@ import sys
 
 from . import harness, spectral
 from .config import DEFENSE_MLDA, ConfigError, load_config
-from .metrics import packet_loss
 from .runner import SimulationRun
 
 
@@ -79,10 +78,10 @@ def _cmd_run(args):
     finally:
         if trace_fh:
             trace_fh.close()
-    loss_pkts, loss_ratio = packet_loss(result.legit)
+    legit = result.legit
     print("defense=%s seed=%d window_s=%g" % (cfg.defense, cfg.seed, result.window_s))
     print("legit_bw_bps=%.3f legit_loss_pkts=%d legit_loss_ratio=%.6f"
-          % (result.legit_bw_bps, loss_pkts, loss_ratio))
+          % (result.legit_bw_bps, legit.dropped_pkts, legit.loss_ratio))
     print("attack_bw_bps=%.3f blocked=%s false_blocks=%d"
           % (result.attack_bw_bps, sorted(result.blocked), result.false_blocks))
     if args.detections:

@@ -39,6 +39,11 @@ MAX_WINDOW_BINS = 1 << 16
 # 2007 flows of 2**16 bins each would take a gigabyte
 MAX_RUN_BINS = 1 << 21
 
+# every run keeps one record per station per monitoring interval, about 150
+# bytes each: 2**20 records are some 160 MB, while 1 us intervals over the
+# default 100 s would ask for 60 GB
+MAX_RUN_INTERVALS = 1 << 20
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -168,6 +173,11 @@ class RunConfig:
         if 0 < len(unset) < 3:
             raise ConfigError("%s must be set: the mlda thresholds are set all together "
                               "or not at all" % " and ".join(unset))
+        intervals = to_us(self.duration_s) // to_us(self.mlda.interval_s)
+        if stations * intervals > MAX_RUN_INTERVALS:
+            raise ConfigError("mlda.interval_s: (legit.count + attack.count) * (duration_s // "
+                              "mlda.interval_s) must be at most %d interval records, got %d * %d"
+                              % (MAX_RUN_INTERVALS, stations, intervals))
         n = self.shrew.window_bins
         if n < 2 or n & (n - 1):
             raise ConfigError("shrew.window_bins must be a power of two")

@@ -4,8 +4,9 @@ The congestion-bit monitor's thresholds, in a config's mlda section, come
 from an attack-free calibration run when unset: each is 1.5x the per-node
 per-interval mean of the matching counter, with a floor of 3 on the
 retransmission threshold so sparse noise cannot trip it.  Sweeps vary
-either the attacker count or the attack period, run every (value, defense,
-seed) point, and emit one CSV row per point.
+either the attacker count or the attack period: each point is one config,
+the swept value's with a defense, a seed and the thresholds, and each
+emits one CSV row read from that config and its run.
 """
 
 import csv
@@ -13,7 +14,6 @@ from dataclasses import replace
 
 from .config import DEFENSE_MLDA, DEFENSE_NONE, DEFENSE_SHREW, ConfigError
 from .kernel import to_us
-from .metrics import packet_loss
 from .runner import run_simulation
 
 RESULTS_HEADER = (
@@ -90,32 +90,25 @@ def resolve_thresholds(config):
     return replace(config, mlda=calibrate_thresholds(attack_free(config)))
 
 
-# sweep axis -> (its list in the sweep section, the attack field it sets, that field's type)
+# sweep axis -> (its list in the sweep section, the attack field it sets)
 _AXES = {
-    "attackers": ("attacker_counts", "count", int),
-    "period": ("periods_s", "period_s", float),
+    "attackers": ("attacker_counts", "count"),
+    "period": ("periods_s", "period_s"),
 }
 
 
-def _point_config(config, axis, value, defense, seed):
-    _, name, kind = _AXES[axis]
-    attack = replace(config.attack, **{name: kind(value)})
-    return replace(config, defense=defense, seed=seed, attack=attack)
-
-
-def run_point(args):
-    """One sweep point; module-level so process pools can pickle it."""
-    axis, value, defense, seed, cfg = args
+def run_point(point):
+    """One sweep point, (axis, value, config); module-level so process pools can pickle it."""
+    axis, value, cfg = point
     result = run_simulation(cfg)
-    loss_pkts, loss_ratio = packet_loss(result.legit)
     return (
         axis,
         value,
-        defense,
-        seed,
+        cfg.defense,
+        cfg.seed,
         round(result.legit_bw_bps, 3),
-        loss_pkts,
-        round(loss_ratio, 6),
+        result.legit.dropped_pkts,
+        round(result.legit.loss_ratio, 6),
         round(result.attack_bw_bps, 3),
         len(result.blocked),
         result.false_blocks,
@@ -139,46 +132,45 @@ def sweep(config, axis, workers=1):
 
     axis "attackers" varies the number of attackers at a fixed attack
     period; axis "period" varies the attack period, where 0 means no attack.
-    Every point's config is checked before the calibration run, so an
-    unknown axis, an empty sweep list or a bad sweep item fails at once and
-    is named.
+    Each swept value is put into the config and checked once, before the
+    calibration run, so an unknown axis, an empty sweep list or a bad sweep
+    item fails at once and is named.  Each point is then one config: the
+    value's config with a defense, a seed and the calibrated thresholds.
     """
     if axis not in _AXES:
         raise ConfigError("sweep axis must be one of %s, got %r"
                           % (" or ".join(map(repr, _AXES)), axis))
     config.validate()
-    key = _AXES[axis][0]
+    key, attr = _AXES[axis]
     for name in (key, "seeds"):
         if not getattr(config.sweep, name):
             raise ConfigError("sweep.%s is empty, so the sweep has no points" % name)
-    points = [(i, value, defense, seed)
-              for i, value in enumerate(getattr(config.sweep, key))
-              for defense in (DEFENSE_MLDA, DEFENSE_SHREW)
-              for seed in config.sweep.seeds]
-    for i, value, defense, seed in points:
+    swept = []
+    for i, value in enumerate(getattr(config.sweep, key)):
+        cfg = replace(config, attack=replace(config.attack, **{attr: value}))
         try:
-            _point_config(config, axis, value, defense, seed).validate()
+            swept.append((value, cfg.validate()))
         except ConfigError as exc:
             raise ConfigError("sweep.%s[%d]: %s" % (key, i, exc)) from None
-    config = resolve_thresholds(config)
-    rows = _run_points([(axis, value, defense, seed,
-                         _point_config(config, axis, value, defense, seed))
-                        for _, value, defense, seed in points], workers)
+    mlda = resolve_thresholds(config).mlda
+    rows = _run_points([(axis, value, replace(cfg, defense=defense, seed=seed, mlda=mlda))
+                        for value, cfg in swept
+                        for defense in (DEFENSE_MLDA, DEFENSE_SHREW)
+                        for seed in config.sweep.seeds], workers)
     rows.sort(key=lambda r: (float(r[1]), r[2], r[3]))
     return rows
 
 
-def write_results_csv(path, rows):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(RESULTS_HEADER)
-        for r in rows:
-            w.writerow(r)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_results_csv(path, rows):
+    _write_csv(path, RESULTS_HEADER, rows)
 
 
 def write_detections_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(DETECTIONS_HEADER)
-        for r in rows:
-            w.writerow(r)
+    _write_csv(path, DETECTIONS_HEADER, rows)

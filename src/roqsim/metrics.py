@@ -83,12 +83,10 @@ class ClassStats:
         self.sent_pkts += fs.w_sent_pkts
         self.dropped_pkts += fs.w_dropped_pkts
 
-
-def packet_loss(stats):
-    """(dropped packet copies, dropped/sent ratio); ratio is 0 when idle."""
-    if stats.sent_pkts == 0:
-        return stats.dropped_pkts, 0.0
-    return stats.dropped_pkts, stats.dropped_pkts / stats.sent_pkts
+    @property
+    def loss_ratio(self):
+        """Dropped over sent packet copies; 0 when nothing was sent."""
+        return self.dropped_pkts / self.sent_pkts if self.sent_pkts else 0.0
 
 
 def audit_conservation(flows, leftover_by_node):

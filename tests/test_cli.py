@@ -320,6 +320,38 @@ def test_value_past_float_range_exits_1_before_any_run(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err.startswith("config error: " + message)
 
 
+_TOO_MANY_INTERVALS = ("mlda.interval_s: (legit.count + attack.count) * (duration_s //"
+                       " mlda.interval_s) must be at most 1048576 interval records, got ")
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        # 1 us intervals over the default 100 s would keep 4 * 10**8 records, some 60 GB
+        pytest.param(["run"], {"mlda": {"interval_s": 1e-6}},
+                     _TOO_MANY_INTERVALS + "4 * 100000000", id="run"),
+        # 3 stations keep 900,000 records, the second item's 4 would keep 1,200,000
+        pytest.param(["sweep", "attackers", "--out", "results.csv"],
+                     {"duration_s": 30, "mlda": {"interval_s": 1e-4}, "attack": {"count": 1},
+                      "sweep": {"attacker_counts": [1, 2], "seeds": [1]}},
+                     "sweep.attacker_counts[1]: " + _TOO_MANY_INTERVALS + "4 * 300000",
+                     id="sweep-item"),
+    ],
+)
+def test_too_many_monitoring_intervals_exit_1_before_any_run(tmp_path, monkeypatch, capsys,
+                                                             command, cfg, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation started before the interval count was checked")
+
+    monkeypatch.setattr(harness, "run_simulation", no_run)  # calibration included
+    monkeypatch.setattr(cli, "SimulationRun", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(command + ["--config", "config.json"]) == 1
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_sweep_refuses_fewer_than_one_worker(config_path, tmp_path, monkeypatch, capsys,
                                              workers):

@@ -144,8 +144,10 @@ def test_several_faults_name_the_first_field():
     ],
 )
 def test_closed_lower_bound_is_allowed(section, key, value):
-    # the thresholds are set all together or not at all
-    data = {"mlda": {"rc_th": 1.0, "se_th_s": 1.0, "re_th": 1.0}}
+    # the thresholds are set all together or not at all; a run of 0.25 s is
+    # short enough for 1 us monitoring intervals: 4 stations x 250,000 records
+    data = {"duration_s": 0.25, "warmup_s": 0.0,
+            "mlda": {"rc_th": 1.0, "se_th_s": 1.0, "re_th": 1.0}}
     (data.setdefault(section, {}) if section else data)[key] = value
     cfg = config_from_dict(data)
     assert getattr(getattr(cfg, section) if section else cfg, key) == value
@@ -179,6 +181,18 @@ def test_wrong_typed_value_gives_a_short_message(data, field):
 def test_window_bins_cap_is_allowed():
     cfg = config_from_dict({"shrew": {"window_bins": MAX_WINDOW_BINS}})
     assert cfg.shrew.window_bins == MAX_WINDOW_BINS
+
+
+def test_monitoring_intervals_of_a_whole_run_are_capped():
+    # every run keeps one record per station per interval: 4 x 262,144 is 2**20
+    data = {"duration_s": 262.144, "mlda": {"interval_s": 0.001}}
+    assert config_from_dict(data).duration_s == 262.144
+    message = ("mlda.interval_s: (legit.count + attack.count) * (duration_s // mlda.interval_s)"
+               " must be at most 1048576 interval records, got %s")
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message % "4 * 262145")):
+        config_from_dict(dict(data, duration_s=262.145))
+    with pytest.raises(ConfigError, match="^%s$" % re.escape(message % "5 * 262144")):
+        config_from_dict(dict(data, legit={"count": 3}))
 
 
 def test_arrival_bins_of_a_whole_run_are_capped(tmp_path, monkeypatch, capsys):

@@ -121,7 +121,7 @@ def test_resolve_calibrates_unset_thresholds():
 
 def test_run_point_row_is_deterministic():
     cfg = resolve_thresholds(config_from_dict(SMALL))
-    args = ("attackers", 2, "mlda", 1, replace(cfg, defense="mlda"))
+    args = ("attackers", 2, replace(cfg, defense="mlda"))
     row1 = run_point(args)
     row2 = run_point(args)
     assert row1 == row2
@@ -144,6 +144,24 @@ def test_sweep_rows_and_csv_stability(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == ",".join(RESULTS_HEADER)
+
+
+def test_sweep_points_are_the_calibrated_config_per_value_defense_and_seed(monkeypatch):
+    cfg = config_from_dict(dict(SMALL, sweep=dict(SMALL["sweep"], seeds=[1, 2])))
+    calibrated = resolve_thresholds(cfg)
+    handed = []
+    monkeypatch.setattr(harness, "_run_points",
+                        lambda points, workers: handed.extend(points) or [])
+    assert sweep(cfg, "period") == []
+    assert handed == [
+        ("period", value, replace(calibrated, defense=defense, seed=seed,
+                                  attack=replace(calibrated.attack, period_s=value)))
+        for value in (0.0, 5.0) for defense in ("mlda", "shrew") for seed in (1, 2)
+    ]
+    # shrew points carry the calibrated thresholds too, not the unset ones
+    assert calibrated.mlda.rc_th is not None
+    shrew = [point[2].mlda for point in handed if point[2].defense == "shrew"]
+    assert shrew == [calibrated.mlda] * 4
 
 
 def test_parallel_sweep_matches_serial():

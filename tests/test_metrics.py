@@ -9,7 +9,6 @@ from roqsim.metrics import (
     ClassStats,
     FlowStats,
     audit_conservation,
-    packet_loss,
 )
 
 WARMUP_US = 1000
@@ -65,8 +64,8 @@ def test_class_stats_sums_windowed_fields():
 
 def test_packet_loss():
     cls = ClassStats(goodput_bits=1_800_000, sent_pkts=100, dropped_pkts=5)
-    assert packet_loss(cls) == (5, 0.05)
-    assert packet_loss(ClassStats()) == (0, 0.0)
+    assert (cls.dropped_pkts, cls.loss_ratio) == (5, 0.05)
+    assert ClassStats().loss_ratio == 0.0
 
 
 def test_conservation_audit_balanced():
