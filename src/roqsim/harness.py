@@ -36,12 +36,7 @@ RETRANS_FLOOR = 3.0
 
 
 def attack_free(config):
-    """Same network with the attack disabled and no defense active.
-
-    A config that already is attack-free comes back as it is, not copied.
-    """
-    if config.defense == DEFENSE_NONE and not config.attack_enabled():
-        return config
+    """Same network with the attack disabled and no defense active."""
     return replace(config, defense=DEFENSE_NONE, attack=replace(config.attack, period_s=0.0))
 
 

@@ -55,8 +55,8 @@ class SimulationRun:
     def __init__(self, config, trace=None):
         config.validate()
         self.config = config
-        self.sim = Simulator(seed=config.seed, trace=trace)
-        self.medium = Medium(self.sim, PhyParams(config.phy))
+        self.sim = sim = Simulator(seed=config.seed, trace=trace)
+        self.medium = Medium(sim, PhyParams(config.phy))
         self.stations = self.medium.stations  # by node id: nodes are 0..n-1, in order
         self.warmup_us = to_us(config.warmup_s)
         self.duration_us = to_us(config.duration_s)
@@ -71,13 +71,6 @@ class SimulationRun:
         self.detection_rows = []
         self.interval_records = []
         self.verdicts = []
-        self._build()
-
-    # -- construction -------------------------------------------------------
-
-    def _build(self):
-        cfg = self.config
-        sim = self.sim
         self.stats = {}
         self.sinks = {}
         self.tcp_sources = {}
@@ -85,20 +78,20 @@ class SimulationRun:
         self.recorders = {}
 
         # the access point has no FlowStats: its copies are TCP ACKs, overhead
-        ap = Station(self.medium, cfg.ap_node, sim.rng.fork(cfg.ap_node))
+        ap = Station(self.medium, config.ap_node, sim.rng.fork(config.ap_node))
         ap.on_data_rx = self._ap_data_rx
 
         for node in self.legit_nodes:
             st = Station(self.medium, node, sim.rng.fork(node))
             fs = self.stats[node] = FlowStats(False, self.warmup_us)
-            src = self.tcp_sources[node] = TcpSource(st, cfg.ap_node, cfg.legit)
+            src = self.tcp_sources[node] = TcpSource(st, config.ap_node, config.legit)
             st.on_enqueue = fs.on_sent
             st.on_copy_done = fs.on_copy_done
             st.on_data_rx = src.on_transport_ack  # only the AP sends it DATA
             self.sinks[node] = TcpSink(ap, node)
 
-        attack = cfg.attack
-        active = cfg.attack_enabled()
+        attack = config.attack
+        active = config.attack_enabled()
         n_attack = len(self.attacker_nodes)
         for i, node in enumerate(self.attacker_nodes):
             st = Station(self.medium, node, sim.rng.fork(node), attack=attack)
@@ -107,19 +100,19 @@ class SimulationRun:
             st.on_copy_done = fs.on_copy_done
             if active:
                 phase_us = to_us(i * attack.period_s / n_attack) if attack.stagger else 0
-                self.pulsed_sources[node] = PulsedSource(st, cfg.ap_node, attack, phase_us)
+                self.pulsed_sources[node] = PulsedSource(st, config.ap_node, attack, phase_us)
 
         # arrival spectra are recorded for every flow regardless of defense
-        bin_us = to_us(cfg.shrew.bin_s)
+        bin_us = to_us(config.shrew.bin_s)
         for node in self.monitored:
-            self.recorders[node] = spectral.ArrivalRecorder(node, bin_us, cfg.shrew.window_bins)
+            self.recorders[node] = spectral.ArrivalRecorder(node, bin_us, config.shrew.window_bins)
 
-        interval_us = to_us(cfg.mlda.interval_s)
+        interval_us = to_us(config.mlda.interval_s)
         self._interval_us = interval_us
         sim.schedule(interval_us, "interval_rollover", self._on_interval)
 
-        if cfg.defense == DEFENSE_SHREW:
-            window_us = bin_us * cfg.shrew.window_bins
+        if config.defense == DEFENSE_SHREW:
+            window_us = bin_us * config.shrew.window_bins
             if window_us <= self.duration_us:
                 sim.schedule(window_us, "spectral_verdict", self._on_spectral_verdict)
 

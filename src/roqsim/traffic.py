@@ -108,18 +108,21 @@ class TcpSource:
         self._fill_window()
 
     def _fill_window(self):
-        now = self.sim.now_us
         while self.outstanding() < self.window():
             if self.app_rate_pps > 0:
                 if self.app_available == 0:
                     break
                 self.app_available -= 1
-            seq = self.next_seq
             self.next_seq += 1
-            self.send_times[seq] = (now, False)
-            frame = Frame(DATA, self.station.node_id, self.dst, self.packet_bits, seq_no=seq)
-            self.station.enqueue(frame)
+            self._send(self.next_seq - 1, False)
         self._ensure_timer()
+
+    def _send(self, seq, resent):
+        """Queue segment seq, new or resent, and note when it went out."""
+        self.send_times[seq] = (self.sim.now_us, resent)
+        frame = Frame(DATA, self.station.node_id, self.dst, self.packet_bits, seq_no=seq)
+        frame.retransmitted = resent  # before enqueue, where perfbench's traced mode counts it
+        self.station.enqueue(frame)
 
     def _ensure_timer(self):
         # the timer runs exactly while data is outstanding: only an ACK
@@ -149,21 +152,15 @@ class TcpSource:
         # go-back-N repair: each ACK clocks out the next segment lost before
         # the timeout, otherwise a multi-packet hole stalls until every RTO
         if self.acked_hi < self.recover_hi and self.outstanding() > 0:
-            self._retransmit(self.acked_hi + 1)
+            self._send(self.acked_hi + 1, True)
         self._fill_window()
-
-    def _retransmit(self, seq):
-        self.send_times[seq] = (self.sim.now_us, True)
-        frame = Frame(DATA, self.station.node_id, self.dst, self.packet_bits, seq_no=seq)
-        frame.retransmitted = True
-        self.station.enqueue(frame)
 
     def _on_rto(self):
         self._rto_h = None
         apply_timeout(self.flow)
         self.timeouts += 1
         self.recover_hi = self.next_seq - 1
-        self._retransmit(self.acked_hi + 1)  # oldest unacked first
+        self._send(self.acked_hi + 1, True)  # oldest unacked first
         self._ensure_timer()
 
 

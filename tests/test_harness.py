@@ -54,7 +54,10 @@ def test_attack_free_strips_attack_and_defense():
     assert quiet.defense == "none"
     assert quiet.attack.period_s == 0.0
     assert not quiet.attack_enabled()
-    assert cfg.defense == "mlda"  # original untouched
+    assert cfg == config_from_dict({"defense": "mlda", "attack": {"count": 4}})  # untouched
+    again = attack_free(quiet)  # already attack-free: still a copy
+    assert again == quiet and again is not quiet
+    assert quiet == replace(cfg, defense="none", attack=replace(cfg.attack, period_s=0.0))
 
 
 def test_calibration_refuses_active_attack(monkeypatch):

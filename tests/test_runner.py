@@ -259,6 +259,7 @@ def test_stamps_carry_the_nodes_own_bits_of_the_last_interval(monkeypatch, confi
     transmit = Medium.transmit
 
     def recording_transmit(medium, src_id, frame, air_us):
+        assert src_id == frame.src, (medium.sim.now_us, frame.kind)
         if frame.kind == RTS or frame.kind == DATA:
             sent.append((medium.sim.now_us, src_id, frame.cb))
         return transmit(medium, src_id, frame, air_us)
