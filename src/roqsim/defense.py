@@ -3,12 +3,13 @@
 Per monitoring interval every station is summarized by three counters (its
 RTS/CTS count: the RTS it sent plus the CTS sent to it; time its backoff sat
 frozen; retransmissions).  Each counter strictly above its threshold sets one
-congestion bit.  The number of set bits grades the finding (normal /
-suspected / attacker) and repeated bad findings escalate to a block.
+congestion bit.  The three bits have one form, the code "c1c2c3" (such as
+"101") that frames carry, the trace prints and the detections CSV records.
+The number of set bits grades the finding (normal / suspected / attacker) and
+repeated bad findings escalate to a block.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .config import STREAK
 from .kernel import to_us
@@ -24,24 +25,14 @@ ATTACKER_STREAK_LIMIT = 3
 SUSPECTED_STREAK_LIMIT = 4
 
 
-class CongestionBits(NamedTuple):
-    """Ordered bit triple: the node's RTS/CTS count, frozen backoff, retransmissions."""
-
-    c1: bool
-    c2: bool
-    c3: bool
-
-    def __str__(self):
-        return "%d%d%d" % (self.c1, self.c2, self.c3)
-
-
 def compute_cb(counters, mlda):
     """Threshold one interval's counters against a config's mlda section.
 
-    Equality does not set a bit; only counter > threshold does.  Frozen
-    backoff compares in whole microseconds, as the station counts it.
+    Returns the code "c1c2c3", one "0" or "1" per counter.  Equality does
+    not set a bit; only counter > threshold does.  Frozen backoff compares in
+    whole microseconds, as the station counts it.
     """
-    return CongestionBits(
+    return "%d%d%d" % (
         counters.rts_cts > mlda.rc_th,
         counters.busy_stop_us > to_us(mlda.se_th_s),
         counters.retrans > mlda.re_th,
@@ -49,8 +40,8 @@ def compute_cb(counters, mlda):
 
 
 def classify_cb(cb):
-    """Grade a bit pattern by how many bits are set (0..3)."""
-    return (NOFINDING, NORMAL, SUSPECTED, ATTACKER)[sum(cb)]
+    """Grade a code by how many bits are set (0..3)."""
+    return (NOFINDING, NORMAL, SUSPECTED, ATTACKER)[cb.count("1")]
 
 
 @dataclass
@@ -72,11 +63,12 @@ def monitor_interval(state, index, bits_by_node):
     """Process one interval of per-node congestion bits; returns its findings.
 
     index is the interval's number in the run, 1 for the first; bits_by_node
-    maps node id -> CongestionBits.  The result holds one (node, cb, status)
-    tuple, in node order, for every node that had a finding (at least one bit
-    set) or was blocked in this interval; status is the node's status after
-    the interval, BLOCKED for a block.  A node blocked without a finding shows
-    bits 000.  Blocked nodes are absorbing: their bits are ignored.
+    maps node id -> code such as "101".  The result holds one (node, cb,
+    status) tuple, in node order, for every node that had a finding (at least
+    one bit set) or was blocked in this interval; cb is the node's code and
+    status its status after the interval, BLOCKED for a block.  A node blocked
+    without a finding shows code "000".  Blocked nodes are absorbing: their
+    bits are ignored.
     Streak mode: an attacker finding increments the attacker streak, a
     suspected finding increments the suspected streak without resetting the
     attacker streak, and a normal or empty finding resets both.  Absolute

@@ -73,7 +73,7 @@ def calibrate_thresholds(config):
     return replace(
         cfg.mlda,
         rc_th=CALIBRATION_MARGIN * (sum(c.rts_cts for c in samples) / n),
-        se_th_s=CALIBRATION_MARGIN * (sum(c.busy_stop_us / 1e6 for c in samples) / n),
+        se_th_s=CALIBRATION_MARGIN * (sum(c.busy_stop_us for c in samples) / 1e6 / n),
         re_th=max(RETRANS_FLOOR, CALIBRATION_MARGIN * (sum(c.retrans for c in samples) / n)),
     )
 

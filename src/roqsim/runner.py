@@ -142,9 +142,9 @@ class SimulationRun:
             if mlda_on:
                 own = dfs.compute_cb(counters, mlda)
                 # the AP heard the RTS/CTS itself and takes the other two bits as stamped
-                bits[node] = dfs.CongestionBits(own.c1, counters.heard_c2, counters.heard_c3)
+                bits[node] = "%s%d%d" % (own[0], counters.heard_c2, counters.heard_c3)
                 # next interval every honest node stamps its own bits of this one
-                st.stamp_cb = "000" if st.aggressive and lying else str(own)
+                st.stamp_cb = "000" if st.aggressive and lying else own
 
         if mlda_on:
             for node, cb, status in dfs.monitor_interval(self.monitor, idx, bits):
@@ -153,7 +153,7 @@ class SimulationRun:
                     action = "block"
                 else:
                     action = "transmit_cb"
-                self.detection_rows.append((idx, node, str(cb), status, action))
+                self.detection_rows.append((idx, node, cb, status, action))
 
         nxt = self.sim.now_us + self._interval_us
         if nxt <= self.duration_us:

@@ -20,7 +20,6 @@ from roqsim.defense import (
     NOFINDING,
     NORMAL,
     SUSPECTED,
-    CongestionBits,
     MonitorState,
     classify_cb,
     compute_cb,
@@ -40,11 +39,6 @@ GRADE_BY_BITS = {0: NOFINDING, 1: NORMAL, 2: SUSPECTED, 3: ATTACKER}
 # criteria 3 and 4 run their sweep points in a pool of this size; criterion 9's
 # two sweeps stay serial, so determinism is still checked without one
 ALL_CPUS = os.cpu_count() or 1
-
-
-def bits_of(code):
-    """CongestionBits from a string such as "101"."""
-    return CongestionBits(*(ch == "1" for ch in code))
 
 
 def mean_by_point(rows):
@@ -81,8 +75,7 @@ def test_criterion_1_congestion_bit_truth_table():
             retrans=4 if bits[2] else 3,
         )
         cb = compute_cb(counters, th)
-        assert (cb.c1, cb.c2, cb.c3) == tuple(map(bool, bits))
-        assert str(cb) == "%d%d%d" % bits
+        assert cb == "%d%d%d" % bits
         assert classify_cb(cb) == GRADE_BY_BITS[sum(bits)]
         checked += 1
     elapsed = time.monotonic() - t0
@@ -117,19 +110,16 @@ def test_criterion_2_escalation_block_timing():
     t0 = time.monotonic()
     codes = ["%d%d%d" % b for b in itertools.product((0, 1), repeat=3)]
 
-    def obs(code):
-        return {1: bits_of(code)}
-
     sequences = 0
     for mode in ("streak", "absolute"):
         for length in range(1, 5):
             for seq in itertools.product(codes, repeat=length):
-                findings = [classify_cb(bits_of(c)) for c in seq]
+                findings = [classify_cb(c) for c in seq]
                 expected = _replay_block_interval(findings, mode)
                 state = MonitorState(escalation=mode)
                 got = None
                 for i, code in enumerate(seq, start=1):
-                    acts = monitor_interval(state, i, obs(code))
+                    acts = monitor_interval(state, i, {1: code})
                     if any(status == BLOCKED for _, _, status in acts):
                         assert got is None
                         got = i

@@ -11,7 +11,6 @@ from roqsim.defense import (
     NOFINDING,
     NORMAL,
     SUSPECTED,
-    CongestionBits,
     MonitorState,
     classify_cb,
     compute_cb,
@@ -41,14 +40,9 @@ def counters_for(code):
 ALL_CODES = ["%d%d%d" % bits for bits in itertools.product((0, 1), repeat=3)]
 
 
-def bits_of(code):
-    """CongestionBits from a string such as "101"."""
-    return CongestionBits(*(ch == "1" for ch in code))
-
-
 def test_bits_require_strict_excess():
     for code in ALL_CODES:
-        assert str(compute_cb(counters_for(code), TH)) == code
+        assert compute_cb(counters_for(code), TH) == code
 
 
 def test_classification_partition():
@@ -59,14 +53,7 @@ def test_classification_partition():
         "111": ATTACKER,
     }
     for code, grade in grades.items():
-        assert classify_cb(bits_of(code)) == grade
-
-
-def test_congestion_bits_string_round_trip():
-    for code in ALL_CODES:
-        cb = bits_of(code)
-        assert str(cb) == code
-        assert sum(cb) == code.count("1")
+        assert classify_cb(code) == grade
 
 
 def test_threshold_validation():
@@ -77,14 +64,13 @@ def test_threshold_validation():
     # frozen backoff compares in whole microseconds: 0.000249 s is
     # 248.99999999999997 us as a float, 249 us once rounded
     th = MldaSection(rc_th=1, se_th_s=0.000249, re_th=3)
-    assert not compute_cb(IntervalCounters(rts_cts=0, busy_stop_us=249, retrans=0), th).c2
-    assert compute_cb(IntervalCounters(rts_cts=0, busy_stop_us=250, retrans=0), th).c2
+    assert compute_cb(IntervalCounters(rts_cts=0, busy_stop_us=249, retrans=0), th)[1] == "0"
+    assert compute_cb(IntervalCounters(rts_cts=0, busy_stop_us=250, retrans=0), th)[1] == "1"
 
 
 def drive(state, index, codes_by_node):
-    """Feed interval `index` (1-based); codes_by_node maps node -> bit string."""
-    bits = {node: bits_of(code) for node, code in codes_by_node.items()}
-    return monitor_interval(state, index, bits)
+    """Feed interval `index` (1-based); codes_by_node maps node -> code."""
+    return monitor_interval(state, index, codes_by_node)
 
 
 def blocked(findings):
@@ -94,10 +80,10 @@ def blocked(findings):
 
 def test_streak_blocks_on_three_attacker_intervals():
     state = MonitorState(escalation=STREAK)
-    assert drive(state, 1, {1: "111"}) == [(1, bits_of("111"), ATTACKER)]
+    assert drive(state, 1, {1: "111"}) == [(1, "111", ATTACKER)]
     drive(state, 2, {1: "111"})
     actions = drive(state, 3, {1: "111"})
-    assert actions == [(1, bits_of("111"), BLOCKED)]
+    assert actions == [(1, "111", BLOCKED)]
     assert state.statuses[1].status == BLOCKED
 
 
@@ -184,7 +170,7 @@ def test_block_without_finding_reports_empty_bits():
     state = MonitorState(escalation=ABSOLUTE)
     drive(state, 1, {1: "000", 2: "000"})
     drive(state, 2, {1: "111", 2: "100"})
-    assert drive(state, 3, {1: "000", 2: "000"}) == [(1, bits_of("000"), BLOCKED)]
+    assert drive(state, 3, {1: "000", 2: "000"}) == [(1, "000", BLOCKED)]
 
 
 # -- exhaustive cross-check against an independent replay ---------------------
@@ -221,7 +207,7 @@ def test_escalation_matches_replay_for_all_short_sequences(mode):
     for length in range(1, 5):
         for seq in itertools.product(ALL_CODES, repeat=length):
             state = MonitorState(escalation=mode)
-            expected = oracle([classify_cb(bits_of(c)) for c in seq])
+            expected = oracle([classify_cb(c) for c in seq])
             got = None
             for i, code in enumerate(seq, start=1):
                 actions = drive(state, i, {1: code})

@@ -48,7 +48,7 @@ SPECTRA_CSV_SHA256 = "66f811b3b9b8a7d68f5bba21db1665dc09d08657b3137aa475d1e1c78a
 
 # the traced run's network without its attackers
 CALIBRATE_RUN = {"duration_s": 20.0, "seed": 3, "attack": {"count": 0}}
-CALIBRATE_STDOUT_SHA256 = "195e3a3e3bd19dbf81121d21b314e9ab6c73da505c5827edaba11f874b63bc9b"
+CALIBRATE_STDOUT_SHA256 = "7904869a3ef474ededa61436a96bedcb984a4efb95b464f06ee004df3157c717"
 
 
 def _sha256(data):

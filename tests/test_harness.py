@@ -46,6 +46,11 @@ def test_calibration_scales_the_means_and_floors_retransmissions(monkeypatch):
     assert th2.re_th == 6.0  # above the floor the scaled mean wins
     assert (th2.interval_s, th2.escalation) == (2.0, "absolute")  # the rest is kept
     assert cfg.mlda.rc_th is None  # the section passed in is untouched
+    # frozen backoff sums in whole microseconds and divides once: summing
+    # 0.1 s three times would give 0.30000000000000004 and 0.15000000000000002
+    _, th3 = calibrate({"duration_s": 0.3, "legit": {"count": 1}, "mlda": {"interval_s": 0.1}},
+                       [(i, 1, IntervalCounters(0, 100_000, 0)) for i in (1, 2, 3)])
+    assert th3.se_th_s == 0.15
 
 
 def test_attack_free_strips_attack_and_defense():

@@ -266,7 +266,7 @@ def test_stamps_carry_the_nodes_own_bits_of_the_last_interval(monkeypatch, confi
 
     monkeypatch.setattr(Medium, "transmit", recording_transmit)
     result = run_simulation(c)
-    own = {(index, node): str(compute_cb(counters, c.mlda))
+    own = {(index, node): compute_cb(counters, c.mlda)
            for index, node, counters in result.interval_records}
     liars = set(c.attacker_nodes()) if c.mlda.lying_attacker else set()
     interval_us = to_us(c.mlda.interval_s)
