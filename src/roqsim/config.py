@@ -178,6 +178,11 @@ class RunConfig:
             raise ConfigError("mlda.interval_s: (legit.count + attack.count) * (duration_s // "
                               "mlda.interval_s) must be at most %d interval records, got %d * %d"
                               % (MAX_RUN_INTERVALS, stations, intervals))
+        # the defense grades an interval only when it ends: a longer one never acts
+        if self.defense == DEFENSE_MLDA and to_us(self.mlda.interval_s) > to_us(self.duration_s):
+            raise ConfigError("mlda.interval_s must be at most duration_s under defense 'mlda', "
+                              "got %r > %r: no interval would end, so the defense would never act"
+                              % (self.mlda.interval_s, self.duration_s))
         n = self.shrew.window_bins
         if n < 2 or n & (n - 1):
             raise ConfigError("shrew.window_bins must be a power of two")

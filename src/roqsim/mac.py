@@ -28,6 +28,7 @@ RTS plus the clean CTS addressed to it) and the c2/c3 congestion bits its
 clean RTS and DATA frames carried.
 """
 
+import math
 from collections import deque
 from dataclasses import astuple, dataclass, field
 
@@ -91,7 +92,7 @@ class PhyParams(PhySection):
 
 @dataclass(slots=True, eq=False)
 class Frame:
-    """One physical frame.  DATA frames double as the queued packet copies."""
+    """One physical frame.  A DATA frame is also a queued copy, and a TCP segment's send record."""
 
     kind: str
     src: int
@@ -222,12 +223,14 @@ class Medium:
 class Station:
     """One DCF station: FIFO frame queue, backoff state, exchange sequencing.
 
-    An attack section makes the station a greedy attacker (aggressive): its
-    contention window stays pinned at attack.cw on failures, its queue holds
-    at most attack.queue_cap frames, and it keeps stale frames.  Compliant
-    stations start from phy.cw_min with an unbounded queue.  disable() models
-    deassociation: the station stops transmitting entirely, and its
-    addressee refuses its RTS and DATA.
+    Every station runs one DCF within limits set once here: the window
+    doubles from cw_min to cw_max on failures, the queue holds queue_cap
+    frames, and a head older than lifetime_us is dropped.  A compliant station
+    has phy's window and lifetime and an unbounded queue; an attack section
+    makes a greedy attacker, cw_min = cw_max = attack.cw, attack.queue_cap
+    frames and no lifetime drops.  disable() models deassociation: the
+    station stops transmitting entirely, and its addressee refuses its RTS
+    and DATA.
     """
 
     def __init__(self, medium, node_id, rng, attack=None):
@@ -236,12 +239,12 @@ class Station:
         self.phy = medium.phy
         self.node_id = node_id
         self.rng = rng
-        self.aggressive = attack is not None
-        self.queue_cap = attack.queue_cap if self.aggressive else None
+        self.cw_min, self.cw_max, self.queue_cap, self.lifetime_us = (
+            (self.phy.cw_min, self.phy.cw_max, math.inf, self.phy.queue_lifetime_us)
+            if attack is None else (attack.cw, attack.cw, attack.queue_cap, math.inf))
         self.queue = deque()
         self.state = IDLE
-        self.cw_base = attack.cw if self.aggressive else self.phy.cw_min
-        self.cw = self.cw_base
+        self.cw = self.cw_min
         self.disabled = False
         self.retry = 0
         self.backoff_rem = 0
@@ -270,7 +273,7 @@ class Station:
         if self.disabled:
             self.on_copy_done(frame, OUT_BLOCKED_DROP, now)
             return False
-        if self.queue_cap is not None and len(self.queue) >= self.queue_cap:
+        if len(self.queue) >= self.queue_cap:
             self.on_copy_done(frame, OUT_OVERFLOW_DROP, now)
             return False
         self.queue.append(frame)
@@ -303,7 +306,7 @@ class Station:
     def _pop_head(self, outcome, now):
         """The head copy is done with: report it and reset the window."""
         copy = self.queue.popleft()
-        self.cw = self.cw_base
+        self.cw = self.cw_min
         self.retry = 0
         self.on_copy_done(copy, outcome, now)
 
@@ -392,10 +395,8 @@ class Station:
         now = self.sim.now_us
         self._access_h = None  # this very event: nothing to cancel
         self._leave_contend()
-        if not self.aggressive:  # greedy senders never discard stale frames
-            lifetime = self.phy.queue_lifetime_us
-            while self.queue and now - self.queue[0].enqueued_us > lifetime:
-                self._pop_head(OUT_LIFETIME_DROP, now)
+        while self.queue and now - self.queue[0].enqueued_us > self.lifetime_us:
+            self._pop_head(OUT_LIFETIME_DROP, now)
         if not self.queue:
             self.state = IDLE
             return
@@ -433,8 +434,7 @@ class Station:
         now = self.sim.now_us
         self.counters.retrans += 1
         self.retry += 1
-        if not self.aggressive:
-            self.cw = min(2 * (self.cw + 1) - 1, self.phy.cw_max)
+        self.cw = min(2 * (self.cw + 1) - 1, self.cw_max)
         if self.retry > self.phy.retry_limit:
             self._pop_head(OUT_RETRY_DROP, now)
         self._next_exchange(now)

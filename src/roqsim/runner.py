@@ -144,7 +144,7 @@ class SimulationRun:
                 # the AP heard the RTS/CTS itself and takes the other two bits as stamped
                 bits[node] = "%s%d%d" % (own[0], counters.heard_c2, counters.heard_c3)
                 # next interval every honest node stamps its own bits of this one
-                st.stamp_cb = "000" if st.aggressive and lying else own
+                st.stamp_cb = "000" if lying and node in self.attacker_nodes else own
 
         if mlda_on:
             for node, cb, status in dfs.monitor_interval(self.monitor, idx, bits):

@@ -83,7 +83,7 @@ class TcpSource:
         self.next_seq = 1
         self.acked_hi = 0
         self.recover_hi = 0  # after a timeout, sequences <= this are resent on ACK clock
-        self.send_times = {}  # seq -> (sent_us, retransmitted)
+        self.send_times = {}  # seq -> the frame last sent for it
         self.timeouts = 0
         self._rto_h = None
         self._app_spacing_us = 1_000_000 // self.app_rate_pps if self.app_rate_pps > 0 else 0
@@ -118,9 +118,9 @@ class TcpSource:
         self._ensure_timer()
 
     def _send(self, seq, resent):
-        """Queue segment seq, new or resent, and note when it went out."""
-        self.send_times[seq] = (self.sim.now_us, resent)
-        frame = Frame(DATA, self.station.node_id, self.dst, self.packet_bits, seq_no=seq)
+        """Queue segment seq, new or resent: its frame, stamped on enqueue, is the send record."""
+        frame = self.send_times[seq] = Frame(DATA, self.station.node_id, self.dst,
+                                             self.packet_bits, seq_no=seq)
         frame.retransmitted = resent  # before enqueue, where perfbench's traced mode counts it
         self.station.enqueue(frame)
 
@@ -138,9 +138,9 @@ class TcpSource:
             return
         sample = None
         for seq in range(ack_no, self.acked_hi, -1):
-            info = self.send_times.get(seq)
-            if info is not None and not info[1]:
-                sample = (now - info[0]) / 1_000_000.0
+            sent = self.send_times.get(seq)
+            if sent is not None and not sent.retransmitted:
+                sample = (now - sent.enqueued_us) / 1_000_000.0
                 break
         for seq in range(self.acked_hi + 1, ack_no + 1):
             self.send_times.pop(seq, None)

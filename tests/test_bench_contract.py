@@ -46,6 +46,22 @@ def test_traced_mode_counts_a_defended_run(monkeypatch):
                                                              plain.blocked)
 
 
+def test_traced_mode_counts_every_resent_segment(monkeypatch):
+    # the defended run above has no RTO; this one has 5 at seed 1, and each
+    # resends a segment, which the wrapped enqueue counts only if
+    # TcpSource._send marks the frame retransmitted before it enqueues it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import traced
+
+    tracer = traced.Tracer()
+    try:
+        traced.install(tracer, [])
+        result = run_simulation(config_from_dict({"duration_s": 10.0, "warmup_s": 0.0}))
+    finally:
+        tracer.restore()
+    assert tracer.counts["retransmits"] >= result.timeouts > 0
+
+
 def test_the_probes_patch_points_keep_their_names_and_signatures():
     assert callable(SimulationRun.execute)
     assert callable(Simulator.run_until)

@@ -352,6 +352,36 @@ def test_too_many_monitoring_intervals_exit_1_before_any_run(tmp_path, monkeypat
     assert not (tmp_path / "results.csv").exists()
 
 
+_LONG_INTERVAL = {"duration_s": 30, "warmup_s": 5, "defense": "mlda",
+                  "mlda": {"interval_s": 40, "rc_th": 1, "se_th_s": 0.001, "re_th": 0}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        pytest.param(["run"], _LONG_INTERVAL, id="run"),
+        pytest.param(["sweep", "attackers", "--out", "results.csv"], _LONG_INTERVAL, id="sweep"),
+        # a sweep runs mlda points whatever the config's own defense
+        pytest.param(["sweep", "period", "--out", "results.csv"],
+                     dict(_LONG_INTERVAL, defense="none"), id="sweep-defense-none"),
+    ],
+)
+def test_an_mlda_interval_longer_than_the_run_exits_1_before_any_run(tmp_path, monkeypatch,
+                                                                    capsys, command, cfg):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation started before the interval was checked")
+
+    monkeypatch.setattr(harness, "run_simulation", no_run)  # calibration included
+    monkeypatch.setattr(cli, "SimulationRun", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(command + ["--config", "config.json"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: mlda.interval_s must be at most duration_s under defense 'mlda', got 40"
+        " > 30: no interval would end, so the defense would never act\n")
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_sweep_refuses_fewer_than_one_worker(config_path, tmp_path, monkeypatch, capsys,
                                              workers):

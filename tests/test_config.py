@@ -101,6 +101,10 @@ _INVALID = [
     ({"attack": {"rate_pps": -1}}, "attack.rate_pps must be >= 0, got -1"),
     ({"mlda": {"rc_th": 1.0, "se_th_s": -1, "re_th": 1.0}}, "mlda.se_th_s must be >= 0, got -1"),
     ({"mlda": {"rc_th": 1.0, "se_th_s": 1.0, "re_th": -1}}, "mlda.re_th must be >= 0, got -1"),
+    # no 40 s interval ends in a 30 s run, so the defense would never grade one
+    ({"duration_s": 30, "warmup_s": 5, "defense": "mlda",
+      "mlda": {"interval_s": 40, "rc_th": 1, "se_th_s": 0.001, "re_th": 0}},
+     "mlda.interval_s must be at most duration_s under defense 'mlda', got 40 > 30"),
 ]
 
 
@@ -176,6 +180,16 @@ def test_wrong_typed_value_gives_a_short_message(data, field):
         config_from_dict(data)
     assert str(info.value).startswith(field)
     assert len(str(info.value)) < 200
+
+
+def test_an_mlda_interval_may_span_the_whole_run():
+    data = {"duration_s": 30, "warmup_s": 5, "defense": "mlda",
+            "mlda": {"interval_s": 30, "rc_th": 1, "se_th_s": 0.001, "re_th": 0}}
+    assert config_from_dict(data).mlda.interval_s == 30
+    # under another defense nothing grades an interval, so a longer one is no fault
+    for defense in ("none", "shrew"):
+        config_from_dict(dict(data, defense=defense, mlda=dict(data["mlda"], interval_s=40),
+                              shrew={"window_bins": 256}))  # a 12.8 s window: it decides
 
 
 def test_window_bins_cap_is_allowed():

@@ -156,7 +156,7 @@ def test_cw_doubles_then_retry_drop():
 def test_aggressive_station_never_widens_window():
     sim, phy, medium, ap = make_cell()
     st = Station(medium, 1, ScriptedRng(), attack=AttackSection(cw=7))
-    assert st.aggressive and st.cw_base == 7
+    assert st.cw_min == st.cw_max == 7
     st.enqueue(Frame(DATA, 1, 99, 8000))
     sim.run_until(236 * 3)
     assert st.counters.retrans == 3

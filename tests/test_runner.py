@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_dcf_timing import check_dcf_timing
 from test_fingerprint import LYING_RUN, TRACED_RUN
 
-from roqsim.config import ABSOLUTE, DEFENSES, STREAK, config_from_dict
+from roqsim.config import ABSOLUTE, DEFENSES, STREAK, ConfigError, config_from_dict
 from roqsim.defense import compute_cb
 from roqsim.harness import resolve_thresholds
 from roqsim.kernel import Simulator, to_us
@@ -145,6 +145,23 @@ def test_busy_honest_cell_has_no_false_blocks():
                                legit={"count": 8, "app_rate_pps": 60}, attack={"count": 0}))
     r = run_simulation(c)
     assert not r.blocked
+
+
+@pytest.mark.parametrize("duration_s", [
+    51.2,
+    pytest.param(51.19, marks=pytest.mark.xfail(
+        strict=True, reason="a shrew run shorter than shrew.window_bins x shrew.bin_s never"
+        " schedules its verdict, so it blocks nobody and ends with no verdicts; refusing it"
+        " breaks the short sweeps that pin shrew rows which never decided")),
+])
+def test_a_shrew_run_is_refused_or_gives_every_flow_a_verdict(duration_s):
+    # the default window is 1024 bins of 50 ms, 51.2 s; at 51.2 s nodes 3 and 4 are blocked
+    try:
+        c = cfg(duration_s=duration_s, defense="shrew", attack={"queue_cap": 25})
+    except ConfigError:
+        return
+    r = run_simulation(c)
+    assert [v.flow for v in r.verdicts] == c.legit_nodes() + c.attacker_nodes()
 
 
 def test_mlda_without_thresholds_raises():
@@ -332,11 +349,15 @@ def short_configs(draw):
     period_ms = draw(st.sampled_from([0, 100, 400, 1200]))
     burst_ms = draw(st.integers(0, max(period_ms - 1, 0)))
     cw_min = draw(st.sampled_from([7, 15, 31]))
+    defense = draw(st.sampled_from(DEFENSES))
+    # under mlda, an interval no longer than the run, as validate requires
+    intervals = [s for s in (0.05, 0.1, 0.5, 1.0)
+                 if defense != "mlda" or to_us(s) <= duration_ms * 1000]
     return {
         "duration_s": duration_ms / 1000,
         "warmup_s": draw(st.integers(0, duration_ms - 1)) / 1000,
         "seed": draw(st.integers(0, 1000)),
-        "defense": draw(st.sampled_from(DEFENSES)),
+        "defense": defense,
         "phy": {
             "rate_bps": draw(st.sampled_from([1_000_000, 2_000_000, 11_000_000])),
             "cw_min": cw_min,
@@ -363,7 +384,7 @@ def short_configs(draw):
             "queue_cap": draw(st.integers(1, 400)),
         },
         "mlda": {
-            "interval_s": draw(st.sampled_from([0.05, 0.1, 0.5, 1.0])),
+            "interval_s": draw(st.sampled_from(intervals)),
             "escalation": draw(st.sampled_from([STREAK, ABSOLUTE])),
             "lying_attacker": draw(st.booleans()),
             "rc_th": draw(st.floats(0, 60)),

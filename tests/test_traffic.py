@@ -141,20 +141,26 @@ def test_ack_advances_window_and_samples_rtt():
     assert src.acked_hi == 1 and src.flow.cwnd == 2
 
 
+def sent_records(src):
+    """The send record of each outstanding segment: when its frame was queued, and if resent."""
+    return {seq: (f.enqueued_us, f.retransmitted) for seq, f in src.send_times.items()}
+
+
 def test_karns_rule_skips_retransmitted_sample():
     sim = Simulator(seed=0)
     st = FakeStation(sim=sim)
     src = TcpSource(st, 0, GREEDY)
     src.start()
-    assert src.send_times == {1: (0, False)}  # a new segment
+    assert sent_records(src) == {1: (0, False)}  # a new segment
     sim.run_until(1_000_000)  # RTO fires: seq 1 goes out again
     assert src.timeouts == 1
     assert st.sent[-1].retransmitted is True
-    assert src.send_times == {1: (1_000_000, True)}  # resent
+    assert sent_records(src) == {1: (1_000_000, True)}  # resent
+    assert src.send_times[1] is st.sent[-1]  # the record is the frame sent
     sim.run_until(1_500_000)
     src.on_transport_ack(ack(1), sim.now_us)
     assert src.flow.srtt is None  # ambiguous sample discarded
-    assert src.send_times == {2: (1_500_000, False), 3: (1_500_000, False)}
+    assert sent_records(src) == {2: (1_500_000, False), 3: (1_500_000, False)}
     assert [(f.seq_no, f.retransmitted) for f in st.sent] == [
         (1, False), (1, True), (2, False), (3, False)]
 
@@ -171,7 +177,7 @@ def test_timeout_then_go_back_n_repair():
     assert st.sent[-1].seq_no == 1 and st.sent[-1].retransmitted
     src.on_transport_ack(ack(1), sim.now_us)  # each ACK clocks the next hole out
     assert st.sent[-1].seq_no == 2 and st.sent[-1].retransmitted
-    assert src.send_times[2] == (sim.now_us, True)
+    assert sent_records(src)[2] == (sim.now_us, True)
     src.on_transport_ack(ack(2), sim.now_us)
     assert st.sent[-1].seq_no == 3 and st.sent[-1].retransmitted
     src.on_transport_ack(ack(4), sim.now_us)  # cumulative ACK closes the hole
