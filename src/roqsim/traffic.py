@@ -77,7 +77,6 @@ class TcpSource:
         self.dst = dst
         self.packet_bits = legit.packet_bits
         self.rwnd = legit.rwnd
-        self.app_rate_pps = legit.app_rate_pps
         self.app_available = 0  # produced by the application, not yet sent
         self.flow = TcpFlowState()
         self.next_seq = 1
@@ -86,13 +85,12 @@ class TcpSource:
         self.send_times = {}  # seq -> the frame last sent for it
         self.timeouts = 0
         self._rto_h = None
-        self._app_spacing_us = 1_000_000 // self.app_rate_pps if self.app_rate_pps > 0 else 0
-        self._next_app_us = 0
+        self._app_spacing_us = 1_000_000 // legit.app_rate_pps if legit.app_rate_pps > 0 else 0
 
     def start(self):
-        if self.app_rate_pps > 0:
-            self._next_app_us = self.sim.now_us + self._app_spacing_us
-            self.sim.schedule(self._next_app_us, "app_arrival", self._on_app_arrival)
+        if self._app_spacing_us:
+            self.sim.schedule(self.sim.now_us + self._app_spacing_us, "app_arrival",
+                              self._on_app_arrival)
         self._fill_window()
 
     def window(self):
@@ -103,13 +101,13 @@ class TcpSource:
 
     def _on_app_arrival(self):
         self.app_available += 1
-        self._next_app_us += self._app_spacing_us
-        self.sim.schedule(self._next_app_us, "app_arrival", self._on_app_arrival)
+        self.sim.schedule(self.sim.now_us + self._app_spacing_us, "app_arrival",
+                          self._on_app_arrival)
         self._fill_window()
 
     def _fill_window(self):
         while self.outstanding() < self.window():
-            if self.app_rate_pps > 0:
+            if self._app_spacing_us:
                 if self.app_available == 0:
                     break
                 self.app_available -= 1
@@ -136,22 +134,18 @@ class TcpSource:
         ack_no = frame.seq_no
         if ack_no <= self.acked_hi:
             return
-        sample = None
-        for seq in range(ack_no, self.acked_hi, -1):
-            sent = self.send_times.get(seq)
-            if sent is not None and not sent.retransmitted:
-                sample = (now - sent.enqueued_us) / 1_000_000.0
-                break
+        sample = None  # Karn's rule: only the newest once-sent segment gives an RTT sample
         for seq in range(self.acked_hi + 1, ack_no + 1):
-            self.send_times.pop(seq, None)
+            sent = self.send_times.pop(seq)
+            if not sent.retransmitted:
+                sample = (now - sent.enqueued_us) / 1_000_000.0
         self.acked_hi = ack_no
         apply_ack(self.flow, sample)
-        if self._rto_h is not None:  # restart the timer for what remains
-            self._rto_h.cancel()
-            self._rto_h = None
+        self._rto_h.cancel()  # data was outstanding, so the timer runs: restart it
+        self._rto_h = None
         # go-back-N repair: each ACK clocks out the next segment lost before
         # the timeout, otherwise a multi-packet hole stalls until every RTO
-        if self.acked_hi < self.recover_hi and self.outstanding() > 0:
+        if self.acked_hi < self.recover_hi:
             self._send(self.acked_hi + 1, True)
         self._fill_window()
 

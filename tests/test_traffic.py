@@ -1,5 +1,7 @@
 """Transport model: RTO estimator, window dynamics, sink, pulsed sender."""
 
+import io
+
 import pytest
 
 from roqsim.config import AttackSection, LegitSection, config_from_dict
@@ -163,6 +165,47 @@ def test_karns_rule_skips_retransmitted_sample():
     assert sent_records(src) == {2: (1_500_000, False), 3: (1_500_000, False)}
     assert [(f.seq_no, f.retransmitted) for f in st.sent] == [
         (1, False), (1, True), (2, False), (3, False)]
+
+
+def test_karns_rule_samples_newest_once_sent_segment_of_a_mixed_range():
+    sim = Simulator(seed=0)
+    st = FakeStation(sim=sim)
+    src = TcpSource(st, 0, GREEDY)
+    src.start()  # seq 1 at 0 s
+    for cwnd, t_us in ((2, 100_000), (3, 200_000)):  # seq 2 at 0.1 s, seq 3 at 0.2 s
+        sim.run_until(t_us)
+        src.flow.cwnd = cwnd
+        src._fill_window()
+    sim.run_until(300_000)
+    # the source itself only resends from the oldest unacked segment up, so
+    # this range, with a resent segment above once-sent ones, is built by hand
+    src._send(3, True)
+    assert sent_records(src) == {1: (0, False), 2: (100_000, False), 3: (300_000, True)}
+    sim.run_until(600_000)
+    src.on_transport_ack(ack(3), sim.now_us)
+    assert src.flow.srtt == 0.5  # seq 2's: not seq 1's 0.6 s, nor either of seq 3's sends
+    assert src.acked_hi == 3 and min(src.send_times) == 4  # the acked records are gone
+
+
+def test_retransmission_lost_again_backs_off_until_a_once_sent_sample():
+    trace = io.StringIO()
+    sim = Simulator(seed=0, trace=trace)
+    st = FakeStation(sim=sim)  # never delivers: every send of seq 1 is lost
+    src = TcpSource(st, 0, GREEDY)
+    src.start()
+    sim.run_until(7_500_000)
+    rto_times = [line.split("\t")[0] for line in trace.getvalue().splitlines()
+                 if line.split("\t")[2] == "tcp_rto"]
+    assert rto_times == ["1.000000", "3.000000", "7.000000"]  # 1 -> 2 -> 4 s backoff
+    assert src.timeouts == 3 and src.flow.rto == 8.0
+    assert [(f.seq_no, f.retransmitted) for f in st.sent] == [(1, False)] + [(1, True)] * 3
+    src.on_transport_ack(ack(1), sim.now_us)  # seq 1's last send got through at last
+    assert src.flow.srtt is None and src.flow.rto == 8.0  # resent: no sample, backoff kept
+    assert [f.seq_no for f in st.sent[4:]] == [2, 3]  # once-sent at 7.5 s
+    sim.run_until(8_000_000)
+    src.on_transport_ack(ack(2), sim.now_us)
+    assert src.flow.srtt == 0.5 and src.flow.rttvar == 0.25
+    assert src.flow.rto == max(MIN_RTO_S, 0.5 + 4 * 0.25) == 1.5
 
 
 def test_timeout_then_go_back_n_repair():
