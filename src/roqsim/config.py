@@ -192,6 +192,11 @@ class RunConfig:
         if stations * n > MAX_RUN_BINS:
             raise ConfigError("(legit.count + attack.count) * shrew.window_bins must be at "
                               "most %d, got %d * %d" % (MAX_RUN_BINS, stations, n))
+        window_us = to_us(self.shrew.bin_s) * n  # the shrew verdict is due when it ends
+        if self.defense == DEFENSE_SHREW and window_us > to_us(self.duration_s):
+            raise ConfigError("shrew.bin_s * shrew.window_bins must be at most duration_s under "
+                              "defense 'shrew', got %r > %r: no window would fill, so the "
+                              "defense would never act" % (window_us / 1e6, self.duration_s))
         nyq = 1.0 / (2.0 * self.shrew.bin_s)
         if not (0 < self.shrew.cutoff_hz <= nyq):
             raise ConfigError("shrew.cutoff_hz must be in (0, %g]" % nyq)

@@ -135,7 +135,8 @@ def sweep(config, axis, workers=1):
     if axis not in _AXES:
         raise ConfigError("sweep axis must be one of %s, got %r"
                           % (" or ".join(map(repr, _AXES)), axis))
-    replace(config, defense=DEFENSE_MLDA).validate()  # every sweep runs mlda points
+    for defense in (DEFENSE_MLDA, DEFENSE_SHREW):  # every sweep runs points of both
+        replace(config, defense=defense).validate()
     key, attr = _AXES[axis]
     for name in (key, "seeds"):
         if not getattr(config.sweep, name):

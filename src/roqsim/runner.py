@@ -111,10 +111,9 @@ class SimulationRun:
         self._interval_us = interval_us
         sim.schedule(interval_us, "interval_rollover", self._on_interval)
 
-        if config.defense == DEFENSE_SHREW:
-            window_us = bin_us * config.shrew.window_bins
-            if window_us <= self.duration_us:
-                sim.schedule(window_us, "spectral_verdict", self._on_spectral_verdict)
+        if config.defense == DEFENSE_SHREW:  # validate: the window ends within the run
+            sim.schedule(bin_us * config.shrew.window_bins, "spectral_verdict",
+                         self._on_spectral_verdict)
 
     # -- callbacks ----------------------------------------------------------
 

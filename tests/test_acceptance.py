@@ -274,6 +274,7 @@ def test_criterion_9_determinism_and_conservation(tmp_path):
     small = {
         "duration_s": 30.0,
         "warmup_s": 10.0,
+        "shrew": {"window_bins": 256},  # 12.8 s: the shrew points decide within the run
         "sweep": {"attacker_counts": [2], "periods_s": [0.0], "seeds": [1, 2]},
     }
     cfg = config_from_dict(small)

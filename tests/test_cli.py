@@ -24,6 +24,8 @@ SMALL = {
     "seed": 2,
     "sweep": {"attacker_counts": [2], "periods_s": [0.0], "seeds": [1]},
 }
+# a 256-bin window ends at 12.8 s, so a shrew run or point reaches its verdict
+SHREW_WINDOW = {"window_bins": 256}
 
 
 @pytest.fixture
@@ -94,9 +96,11 @@ def test_writing_a_trace_changes_nothing(defense, tmp_path, monkeypatch, capsys)
     assert runs[-1].sim.dispatched == dispatched
 
 
-def test_sweep_writes_results(tmp_path, config_path):
+def test_sweep_writes_results(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(dict(SMALL, shrew=SHREW_WINDOW)))
     out = tmp_path / "results.csv"
-    assert main(["sweep", "attackers", "--config", config_path,
+    assert main(["sweep", "attackers", "--config", str(path),
                  "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("axis,value,defense,seed,legit_bw_bps")
@@ -320,6 +324,20 @@ def test_value_past_float_range_exits_1_before_any_run(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err.startswith("config error: " + message)
 
 
+def _refused_before_any_run(tmp_path, monkeypatch, capsys, command, cfg):
+    """Run command on cfg with every simulation forbidden; its stderr, once it exits 1."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulation started before the config was checked")
+
+    monkeypatch.setattr(harness, "run_simulation", no_run)  # calibration included
+    monkeypatch.setattr(cli, "SimulationRun", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(command + ["--config", "config.json"]) == 1
+    assert not (tmp_path / "results.csv").exists()
+    return capsys.readouterr().err
+
+
 _TOO_MANY_INTERVALS = ("mlda.interval_s: (legit.count + attack.count) * (duration_s //"
                        " mlda.interval_s) must be at most 1048576 interval records, got ")
 
@@ -333,23 +351,15 @@ _TOO_MANY_INTERVALS = ("mlda.interval_s: (legit.count + attack.count) * (duratio
         # 3 stations keep 900,000 records, the second item's 4 would keep 1,200,000
         pytest.param(["sweep", "attackers", "--out", "results.csv"],
                      {"duration_s": 30, "mlda": {"interval_s": 1e-4}, "attack": {"count": 1},
-                      "sweep": {"attacker_counts": [1, 2], "seeds": [1]}},
+                      "shrew": SHREW_WINDOW, "sweep": {"attacker_counts": [1, 2], "seeds": [1]}},
                      "sweep.attacker_counts[1]: " + _TOO_MANY_INTERVALS + "4 * 300000",
                      id="sweep-item"),
     ],
 )
 def test_too_many_monitoring_intervals_exit_1_before_any_run(tmp_path, monkeypatch, capsys,
                                                              command, cfg, message):
-    def no_run(*args, **kwargs):
-        raise AssertionError("a simulation started before the interval count was checked")
-
-    monkeypatch.setattr(harness, "run_simulation", no_run)  # calibration included
-    monkeypatch.setattr(cli, "SimulationRun", no_run)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "config.json").write_text(json.dumps(cfg))
-    assert main(command + ["--config", "config.json"]) == 1
-    assert capsys.readouterr().err == "config error: %s\n" % message
-    assert not (tmp_path / "results.csv").exists()
+    assert _refused_before_any_run(tmp_path, monkeypatch, capsys, command, cfg) == (
+        "config error: %s\n" % message)
 
 
 _LONG_INTERVAL = {"duration_s": 30, "warmup_s": 5, "defense": "mlda",
@@ -368,18 +378,29 @@ _LONG_INTERVAL = {"duration_s": 30, "warmup_s": 5, "defense": "mlda",
 )
 def test_an_mlda_interval_longer_than_the_run_exits_1_before_any_run(tmp_path, monkeypatch,
                                                                     capsys, command, cfg):
-    def no_run(*args, **kwargs):
-        raise AssertionError("a simulation started before the interval was checked")
-
-    monkeypatch.setattr(harness, "run_simulation", no_run)  # calibration included
-    monkeypatch.setattr(cli, "SimulationRun", no_run)
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "config.json").write_text(json.dumps(cfg))
-    assert main(command + ["--config", "config.json"]) == 1
-    assert capsys.readouterr().err == (
+    assert _refused_before_any_run(tmp_path, monkeypatch, capsys, command, cfg) == (
         "config error: mlda.interval_s must be at most duration_s under defense 'mlda', got 40"
         " > 30: no interval would end, so the defense would never act\n")
-    assert not (tmp_path / "results.csv").exists()
+
+
+_SHORT_RUN = {"duration_s": 30, "warmup_s": 5, "defense": "shrew"}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        pytest.param(["run"], _SHORT_RUN, id="run"),
+        pytest.param(["sweep", "attackers", "--out", "results.csv"], _SHORT_RUN, id="sweep"),
+        # a sweep runs shrew points whatever the config's own defense
+        pytest.param(["sweep", "period", "--out", "results.csv"],
+                     dict(_SHORT_RUN, defense="none"), id="sweep-defense-none"),
+    ],
+)
+def test_a_shrew_window_longer_than_the_run_exits_1_before_any_run(tmp_path, monkeypatch,
+                                                                  capsys, command, cfg):
+    assert _refused_before_any_run(tmp_path, monkeypatch, capsys, command, cfg) == (
+        "config error: shrew.bin_s * shrew.window_bins must be at most duration_s under defense"
+        " 'shrew', got 51.2 > 30: no window would fill, so the defense would never act\n")
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -471,10 +492,6 @@ import sys
 sys.modules["numpy"] = None
 sys.modules["concurrent.futures"] = None
 """
-
-
-# a 256-bin window ends at 12.8 s, so a shrew run reaches its verdict
-SHREW_WINDOW = {"window_bins": 256}
 
 
 @pytest.mark.parametrize(
@@ -606,7 +623,7 @@ def test_each_simulation_is_freed_before_the_next_is_built(tmp_path, monkeypatch
     monkeypatch.setattr(SimulationRun, "__init__", tracked_init)
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(SMALL, defense=defense)))
+    path.write_text(json.dumps(dict(SMALL, defense=defense, shrew=SHREW_WINDOW)))
     assert main(args + ["--config", str(path)]) == 0
     assert alive_at_build == [0] * builds
 

@@ -105,6 +105,10 @@ _INVALID = [
     ({"duration_s": 30, "warmup_s": 5, "defense": "mlda",
       "mlda": {"interval_s": 40, "rc_th": 1, "se_th_s": 0.001, "re_th": 0}},
      "mlda.interval_s must be at most duration_s under defense 'mlda', got 40 > 30"),
+    # the default window, 1024 bins of 50 ms, would not fill in a 30 s run
+    ({"duration_s": 30, "warmup_s": 5, "defense": "shrew"},
+     "shrew.bin_s * shrew.window_bins must be at most duration_s under defense 'shrew', "
+     "got 51.2 > 30"),
 ]
 
 
@@ -190,6 +194,15 @@ def test_an_mlda_interval_may_span_the_whole_run():
     for defense in ("none", "shrew"):
         config_from_dict(dict(data, defense=defense, mlda=dict(data["mlda"], interval_s=40),
                               shrew={"window_bins": 256}))  # a 12.8 s window: it decides
+
+
+def test_a_shrew_window_may_span_the_whole_run():
+    data = {"duration_s": 12.8, "warmup_s": 5, "defense": "shrew", "shrew": {"window_bins": 256}}
+    assert config_from_dict(data).shrew.window_bins == 256
+    # under another defense no verdict is due, so a longer window is no fault
+    for defense in ("none", "mlda"):
+        config_from_dict(dict(data, defense=defense, shrew={"window_bins": 512},
+                              mlda={"rc_th": 1, "se_th_s": 0.001, "re_th": 0}))
 
 
 def test_window_bins_cap_is_allowed():

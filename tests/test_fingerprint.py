@@ -37,8 +37,10 @@ JITTER_RUN = {"duration_s": 20.0, "seed": 6,
 JITTER_STDOUT_SHA256 = "5a633c9116efc6becd7b35de92f047b1e2c6bbf28fc641fd37fbea51a6725b78"
 JITTER_TRACE_SHA256 = "6bf0a521eec60dc29615226c4f3eb92f487d288b88b8566dc89fff75df341e43"
 
-SWEEP = {"duration_s": 20.0, "seed": 2, "sweep": {"attacker_counts": [2, 4], "seeds": [2]}}
-SWEEP_CSV_SHA256 = "2dc0722242621b7f9fd74105fd1b94e1fa6301955a028ff4bf8e54bdef6d44d0"
+# the shrew points decide at 12.8 s on their first 256-bin window
+SWEEP = {"duration_s": 20.0, "seed": 2, "shrew": {"window_bins": 256},
+         "sweep": {"attacker_counts": [2, 4], "seeds": [2]}}
+SWEEP_CSV_SHA256 = "1f8c849c22f95eeda77b896bf377dc9a70c6656d62856b6061777aafe48c926b"
 
 
 # the shrew verdict at 12.8 s analyses every flow's first 256-bin window

@@ -23,6 +23,7 @@ from roqsim.mac import IntervalCounters
 SMALL = {
     "duration_s": 15.0,
     "warmup_s": 5.0,
+    "shrew": {"window_bins": 256},  # 12.8 s: a shrew point decides within the run
     "sweep": {"attacker_counts": [2], "periods_s": [0.0, 5.0], "seeds": [1]},
 }
 

@@ -29,10 +29,10 @@ def cfg(**over):
 
 
 def test_attack_free_runs_identically_under_every_defense():
-    # idle defenses must not perturb the event sequence
+    # idle defenses must not perturb the event sequence; the shrew verdict is due at 12.8 s
     results = {}
     for defense in ("none", "mlda", "shrew"):
-        c = cfg(defense=defense, attack={"count": 0}, mlda=TH)
+        c = cfg(defense=defense, attack={"count": 0}, mlda=TH, shrew={"window_bins": 256})
         results[defense] = run_simulation(c)
     bits = {d: r.legit.goodput_bits for d, r in results.items()}
     assert bits["none"] == bits["mlda"] == bits["shrew"]
@@ -147,13 +147,7 @@ def test_busy_honest_cell_has_no_false_blocks():
     assert not r.blocked
 
 
-@pytest.mark.parametrize("duration_s", [
-    51.2,
-    pytest.param(51.19, marks=pytest.mark.xfail(
-        strict=True, reason="a shrew run shorter than shrew.window_bins x shrew.bin_s never"
-        " schedules its verdict, so it blocks nobody and ends with no verdicts; refusing it"
-        " breaks the short sweeps that pin shrew rows which never decided")),
-])
+@pytest.mark.parametrize("duration_s", [51.2, 51.19])
 def test_a_shrew_run_is_refused_or_gives_every_flow_a_verdict(duration_s):
     # the default window is 1024 bins of 50 ms, 51.2 s; at 51.2 s nodes 3 and 4 are blocked
     try:
@@ -350,9 +344,11 @@ def short_configs(draw):
     burst_ms = draw(st.integers(0, max(period_ms - 1, 0)))
     cw_min = draw(st.sampled_from([7, 15, 31]))
     defense = draw(st.sampled_from(DEFENSES))
-    # under mlda, an interval no longer than the run, as validate requires
+    # under mlda, an interval no longer than the run, as validate requires;
+    # under shrew, a window of 50 ms bins no longer than the run, likewise
     intervals = [s for s in (0.05, 0.1, 0.5, 1.0)
                  if defense != "mlda" or to_us(s) <= duration_ms * 1000]
+    windows = [n for n in (2, 8, 32, 64) if defense != "shrew" or 50 * n <= duration_ms]
     return {
         "duration_s": duration_ms / 1000,
         "warmup_s": draw(st.integers(0, duration_ms - 1)) / 1000,
@@ -392,7 +388,7 @@ def short_configs(draw):
             "re_th": draw(st.floats(0, 6)),
         },
         "shrew": {
-            "window_bins": draw(st.sampled_from([2, 8, 32, 64])),
+            "window_bins": draw(st.sampled_from(windows)),
             "ratio_threshold": draw(st.floats(0, 0.99)),
         },
     }
