@@ -7,10 +7,10 @@ RTS -> CTS -> DATA -> ACK with SIFS gaps; contention uses DIFS plus slotted
 binary-exponential backoff that freezes while the channel is sensed busy.
 
 A station's state follows its own exchange: idle (nothing queued) ->
-contend (DIFS, then the backoff) -> wait_cts (RTS sent) -> txseq (CTS
-heard, DATA due SIFS later) -> wait_ack (DATA sent).  A missing CTS or ACK,
-or a delivered frame with more queued, leads back to contend with a fresh
-backoff; an empty queue leads to idle.  Timer invariants:
+contend (DIFS, then the backoff) -> exchange (RTS sent, until the ACK or a
+timeout).  A missing CTS or ACK, or a delivered frame with more queued,
+leads back to contend with a fresh backoff; an empty queue leads to idle.
+Timer invariants:
 
 - _access_h, the pending difs_end or attempt, and _nav_h, the pending
   nav_expire, live only while the station contends: _leave_contend cancels
@@ -20,6 +20,9 @@ backoff; an empty queue leads to idle.  Timer invariants:
   due at that same instant still fires, so two such RTS collide.
 - _exchange_h is the station's own next exchange step (CTS or ACK timeout,
   or the DATA due); _resp_h is the CTS or ACK it owes another station.
+- A CTS or ACK addressed to a station answers its own exchange's RTS or
+  DATA: the addressee sends it SIFS after that frame, 2 slots before the
+  timeout, and only disable() ends an exchange sooner.
 
 Per station and per monitoring interval an IntervalCounters accumulates:
 the station counts its frozen backoff and retransmissions, and the medium
@@ -42,9 +45,7 @@ ACK = "ACK"
 
 IDLE = "idle"
 CONTEND = "contend"
-WAIT_CTS = "wait_cts"
-TXSEQ = "txseq"  # CTS heard, DATA due
-WAIT_ACK = "wait_ack"
+EXCHANGE = "exchange"
 
 OUT_DELIVERED = "delivered"
 OUT_RETRY_DROP = "retry_drop"
@@ -366,7 +367,7 @@ class Station:
         h = self._access_h
         if self._count_start is not None:  # h is the attempt: keep the slots left
             counted = (now - self._count_start) // self.phy.slot_us
-            self.backoff_rem -= min(self.backoff_rem, counted)
+            self.backoff_rem -= counted  # the attempt is due at or after now
             self._count_start = None
             if h.fire_us == now:
                 h = None  # an attempt at this exact instant still fires (same-slot collision)
@@ -401,7 +402,7 @@ class Station:
             self.state = IDLE
             return
         head = self.queue[0]
-        self.state = WAIT_CTS
+        self.state = EXCHANGE
         phy = self.phy
         rts = Frame(RTS, self.node_id, head.dst, 0, self.stamp_cb,
                     phy.exchange_tail_us(head.payload_bits), head.seq_no)
@@ -416,7 +417,6 @@ class Station:
         head.cb = self.stamp_cb
         head.duration_us = self.phy.sifs_us + self.phy.ack_us
         air = self.phy.data_us(head.payload_bits)
-        self.state = WAIT_ACK
         self.medium.transmit(self.node_id, head, air)
         self._exchange_h = self.sim.schedule(
             now + air + self.phy.ack_timeout_us, "ack_timeout", self._on_exchange_timeout
@@ -456,23 +456,18 @@ class Station:
                                      frame.seq_no)
             self._resp_h = self.sim.schedule(now + phy.sifs_us, "cts_tx", self._tx_resp)
         elif kind == CTS:
-            if self.state is WAIT_CTS and frame.src == self.queue[0].dst:
-                self._exchange_h.cancel()
-                self.state = TXSEQ
-                self._exchange_h = self.sim.schedule(
-                    now + self.phy.sifs_us, "data_tx", self._tx_data
-                )
+            self._exchange_h.cancel()
+            self._exchange_h = self.sim.schedule(now + self.phy.sifs_us, "data_tx", self._tx_data)
         elif kind == DATA:
             if self._resp_h is None and not self.medium.stations[frame.src].disabled:
                 self._resp_frame = Frame(ACK, self.node_id, frame.src, 0, "000", 0, frame.seq_no)
                 self._resp_h = self.sim.schedule(now + self.phy.sifs_us, "ack_tx", self._tx_resp)
                 self.on_data_rx(frame, now)
         elif kind == ACK:
-            if self.state is WAIT_ACK:
-                self._exchange_h.cancel()
-                self._exchange_h = None
-                self._pop_head(OUT_DELIVERED, now)
-                self._next_exchange(now)
+            self._exchange_h.cancel()
+            self._exchange_h = None
+            self._pop_head(OUT_DELIVERED, now)
+            self._next_exchange(now)
 
     def _nav_reset_check(self):
         """Release the NAV an overheard RTS set if its handshake died (no CTS).
