@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import harness, spectral
 from .config import DEFENSE_MLDA, ConfigError, load_config
@@ -106,9 +107,8 @@ def _cmd_sweep(args):
 def _cmd_calibrate(args):
     cfg = load_config(args.config)
     mlda = harness.calibrate_thresholds(cfg)
-    # an mlda section a config can take as it is
-    keys = ("interval_s", "rc_th", "re_th", "se_th_s")
-    print(json.dumps({key: getattr(mlda, key) for key in keys}, sort_keys=True))
+    # the whole mlda section, which a config can take as it is
+    print(json.dumps(asdict(mlda), sort_keys=True))
     return 0
 
 

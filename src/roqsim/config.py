@@ -151,6 +151,11 @@ class RunConfig:
             raise ConfigError("defense must be one of %s" % (DEFENSES,))
         if self.phy.cw_max < self.phy.cw_min:
             raise ConfigError("phy.cw_max must be >= phy.cw_min")
+        # a station's own CTS or ACK is due SIFS after the frame it answers:
+        # a DIFS no longer than that would let its next RTS start first
+        if self.phy.difs_us <= self.phy.sifs_us:
+            raise ConfigError("phy.difs_us must be > phy.sifs_us, got %d <= %d"
+                              % (self.phy.difs_us, self.phy.sifs_us))
         attack = self.attack
         if attack.period_s > 0 and attack.burst_s >= attack.period_s:
             raise ConfigError("attack.burst_s must be shorter than attack.period_s")

@@ -69,7 +69,7 @@ class PhyParams(PhySection):
         self.rts_us = self.airtime_us(RTS_BITS)
         self.cts_us = self.airtime_us(CTS_BITS)
         self.ack_us = self.airtime_us(ACK_BITS)
-        # responder answers at SIFS; allow one slot of slack before giving up.
+        # responder answers at SIFS; allow two slots of slack before giving up.
         # A station that overheard an RTS releases its NAV after the same wait
         # if no CTS followed.
         self.cts_timeout_us = self.sifs_us + self.cts_us + 2 * self.slot_us

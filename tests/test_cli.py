@@ -108,22 +108,31 @@ def test_sweep_writes_results(tmp_path):
 
 
 def test_calibrate_prints_json(tmp_path, capsys):
-    quiet = tmp_path / "quiet.json"
-    quiet.write_text(json.dumps(dict(SMALL, attack={"period_s": 0.0})))
-    assert main(["calibrate", "--config", str(quiet)]) == 0
-    th = json.loads(capsys.readouterr().out)
-    assert set(th) == {"rc_th", "se_th_s", "re_th", "interval_s"}
-    assert th["re_th"] >= 3.0
-    # the JSON is an mlda section: a run that takes it prints what the run
-    # that calibrates on the same attack-free network prints
-    outputs = []
-    for mlda in ({}, th):
-        path = tmp_path / "mlda.json"
-        path.write_text(json.dumps(dict(SMALL, defense="mlda", mlda=mlda)))
-        assert main(["run", "--config", str(path)]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert "blocked=[]" not in outputs[0]  # the thresholds were put to use
+    # the second network's escalation and lying attackers make its defended
+    # run block nobody, where the default mlda section blocks every attacker
+    lenient = {"escalation": "absolute", "lying_attacker": True}
+    networks = [(SMALL, True),
+                ({"duration_s": 30.0, "warmup_s": 5.0, "seed": 2, "mlda": lenient,
+                  "attack": {"count": 6, "stagger": True}}, False)]
+    for network, blocks in networks:
+        quiet = tmp_path / "quiet.json"
+        quiet.write_text(json.dumps(dict(network, attack=dict(network.get("attack", {}),
+                                                              period_s=0.0))))
+        assert main(["calibrate", "--config", str(quiet)]) == 0
+        th = json.loads(capsys.readouterr().out)
+        assert set(th) == {"escalation", "interval_s", "lying_attacker",
+                           "rc_th", "re_th", "se_th_s"}
+        assert th["re_th"] >= 3.0
+        # the JSON is an mlda section: a run that takes it prints what the run
+        # that calibrates on the same attack-free network prints
+        outputs = []
+        for mlda in (network.get("mlda", {}), th):
+            path = tmp_path / "mlda.json"
+            path.write_text(json.dumps(dict(network, defense="mlda", mlda=mlda)))
+            assert main(["run", "--config", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert ("blocked=[]" not in outputs[0]) == blocks  # the section was put to use
 
 
 def test_missing_config_is_a_config_error(tmp_path, capsys):
@@ -596,7 +605,8 @@ def test_calibrate_takes_any_switched_off_attack(tmp_path, capsys):
         path.write_text(json.dumps({"duration_s": 5.0, "warmup_s": 1.0, "attack": attack}))
         assert main(["calibrate", "--config", str(path)]) == 0
         printed.append(capsys.readouterr().out)
-    thresholds = '{"interval_s": 1.0, "rc_th": 45.0, "re_th": 3.0, "se_th_s": 0.05061}\n'
+    thresholds = ('{"escalation": "streak", "interval_s": 1.0, "lying_attacker": false, '
+                  '"rc_th": 45.0, "re_th": 3.0, "se_th_s": 0.05061}\n')
     assert printed == [thresholds] * 3
 
 

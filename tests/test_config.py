@@ -109,6 +109,10 @@ _INVALID = [
     ({"duration_s": 30, "warmup_s": 5, "defense": "shrew"},
      "shrew.bin_s * shrew.window_bins must be at most duration_s under defense 'shrew', "
      "got 51.2 > 30"),
+    # a station's ACK is due SIFS after the DATA it answers: its own next RTS
+    # must not start before that
+    ({"phy": {"difs_us": 10, "sifs_us": 10}}, "phy.difs_us must be > phy.sifs_us, got 10 <= 10"),
+    ({"phy": {"difs_us": 5, "sifs_us": 10}}, "phy.difs_us must be > phy.sifs_us, got 5 <= 10"),
 ]
 
 
@@ -203,6 +207,10 @@ def test_a_shrew_window_may_span_the_whole_run():
     for defense in ("none", "mlda"):
         config_from_dict(dict(data, defense=defense, shrew={"window_bins": 512},
                               mlda={"rc_th": 1, "se_th_s": 0.001, "re_th": 0}))
+
+
+def test_a_difs_one_microsecond_above_sifs_is_allowed():
+    assert config_from_dict({"phy": {"difs_us": 11, "sifs_us": 10}}).phy.difs_us == 11
 
 
 def test_window_bins_cap_is_allowed():

@@ -50,7 +50,7 @@ SPECTRA_CSV_SHA256 = "66f811b3b9b8a7d68f5bba21db1665dc09d08657b3137aa475d1e1c78a
 
 # the traced run's network without its attackers
 CALIBRATE_RUN = {"duration_s": 20.0, "seed": 3, "attack": {"count": 0}}
-CALIBRATE_STDOUT_SHA256 = "7904869a3ef474ededa61436a96bedcb984a4efb95b464f06ee004df3157c717"
+CALIBRATE_STDOUT_SHA256 = "0af37ca6e93525f3902fa75ebf26ad286a2414fa536b1dea7ecbc0c219b44bc2"
 
 
 def _sha256(data):

@@ -343,6 +343,8 @@ def short_configs(draw):
     period_ms = draw(st.sampled_from([0, 100, 400, 1200]))
     burst_ms = draw(st.integers(0, max(period_ms - 1, 0)))
     cw_min = draw(st.sampled_from([7, 15, 31]))
+    slot_us = draw(st.sampled_from([9, 20, 50]))
+    sifs_us = draw(st.sampled_from([10, 16, 28]))
     defense = draw(st.sampled_from(DEFENSES))
     # under mlda, an interval no longer than the run, as validate requires;
     # under shrew, a window of 50 ms bins no longer than the run, likewise
@@ -355,6 +357,10 @@ def short_configs(draw):
         "seed": draw(st.integers(0, 1000)),
         "defense": defense,
         "phy": {
+            "slot_us": slot_us,
+            "sifs_us": sifs_us,
+            # DIFS is SIFS plus whole slots; 802.11 takes two
+            "difs_us": sifs_us + draw(st.integers(1, 3)) * slot_us,
             "rate_bps": draw(st.sampled_from([1_000_000, 2_000_000, 11_000_000])),
             "cw_min": cw_min,
             "cw_max": draw(st.sampled_from([cw_min, 1023])),
@@ -400,6 +406,18 @@ def test_any_short_run_balances_and_its_clean_frames_never_overlap(data):
     config = config_from_dict(data)
     trace = io.StringIO()
     run = SimulationRun(config, trace=trace)
+    # half duplex: no station starts a frame, clean or not, before its own
+    # previous frame ends
+    busy_until = {}
+    transmit = run.medium.transmit
+
+    def half_duplex_transmit(src_id, frame, air_us):
+        now = run.sim.now_us
+        assert now >= busy_until.get(src_id, 0), (now, src_id, frame.kind)
+        busy_until[src_id] = now + air_us
+        return transmit(src_id, frame, air_us)
+
+    run.medium.transmit = half_duplex_transmit
     run.execute()  # audits the conservation of every flow's bits
     # a clean frame was on air for (end - airtime, end]; two frames that
     # overlapped would have corrupted each other, and neither is traced
