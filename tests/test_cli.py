@@ -110,10 +110,10 @@ def test_sweep_writes_results(tmp_path):
 def test_calibrate_prints_json(tmp_path, capsys):
     # the second network's escalation and lying attackers make its defended
     # run block nobody, where the default mlda section blocks every attacker
-    lenient = {"escalation": "absolute", "lying_attacker": True}
     networks = [(SMALL, True),
-                ({"duration_s": 30.0, "warmup_s": 5.0, "seed": 2, "mlda": lenient,
-                  "attack": {"count": 6, "stagger": True}}, False)]
+                ({"duration_s": 30.0, "warmup_s": 5.0, "seed": 2,
+                  "attack": {"count": 6, "stagger": True},
+                  "mlda": {"escalation": "absolute", "lying_attacker": True}}, False)]
     for network, blocks in networks:
         quiet = tmp_path / "quiet.json"
         quiet.write_text(json.dumps(dict(network, attack=dict(network.get("attack", {}),

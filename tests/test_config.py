@@ -135,6 +135,7 @@ def test_several_faults_name_the_first_field():
     [
         (None, "warmup_s", 0),
         ("phy", "cw_min", 1),
+        ("phy", "difs_us", 11),  # one above the default sifs_us, 10
         ("phy", "retry_limit", 0),
         ("legit", "count", 1),
         ("legit", "packet_bits", 1),
@@ -207,10 +208,6 @@ def test_a_shrew_window_may_span_the_whole_run():
     for defense in ("none", "mlda"):
         config_from_dict(dict(data, defense=defense, shrew={"window_bins": 512},
                               mlda={"rc_th": 1, "se_th_s": 0.001, "re_th": 0}))
-
-
-def test_a_difs_one_microsecond_above_sifs_is_allowed():
-    assert config_from_dict({"phy": {"difs_us": 11, "sifs_us": 10}}).phy.difs_us == 11
 
 
 def test_window_bins_cap_is_allowed():
